@@ -101,11 +101,14 @@ class Network:
     @cached_property
     def _adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         """Per-vertex tuple of (neighbor, conductance), sorted by neighbor."""
+        # The canonical edges are sorted with a < b, so each vertex meets its
+        # lower neighbors in ascending order before its higher ones: every
+        # list is built sorted.
         lists: list[list[tuple[int, float]]] = [[] for _ in range(self.vertex_count)]
         for a, b, c in self.edges:
             lists[a].append((b, c))
             lists[b].append((a, c))
-        return tuple(tuple(sorted(nbrs)) for nbrs in lists)
+        return tuple(map(tuple, lists))
 
     @cached_property
     def _conductance_by_pair(self) -> dict[tuple[int, int], float]:
@@ -172,13 +175,9 @@ class Network:
         first_seen[0] = True
         stack = [0]
         reached = 1
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for a, b, _ in self.edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
         while stack:
             v = stack.pop()
-            for w in adjacency[v]:
+            for w, _ in self._adjacency[v]:
                 if not first_seen[w]:
                     first_seen[w] = True
                     reached += 1

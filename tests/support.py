@@ -1,9 +1,11 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own code paths:
-connectivity uses union-find (the library uses BFS / low-link), and the
+connectivity uses union-find (the library uses BFS / low-link), the
 exact hitting-time oracle runs Gaussian elimination over ``Fraction``
-(the library uses floating-point numpy solves).
+(the library uses floating-point numpy solves), and the walk-regularity
+oracle multiplies unbounded Python integers (the library compares residues
+modulo primes in float64).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ohmwalk import Network, build_network
+from ohmwalk import Network, WalkCountMismatch, WalkRegularityReport, build_network
 
 # 3-regular, connected, 8 vertices: one triangle (0-1-2) feeding a
 # triangle-free tail, so per-vertex closed-3-walk counts are (2,2,2,0,...).
@@ -114,3 +116,41 @@ def hitting_times_by_fractions(net: Network, target: int) -> list[Fraction]:
                 factor = rows[r][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return [rows[r][n] for r in range(n)]
+
+
+def _int_matmul(left: list[list[int]], right: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*right))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in left]
+
+
+def walk_regular_by_python_ints(net: Network) -> WalkRegularityReport:
+    """The walk-regularity report, from exact Python-int closed-walk counts.
+
+    Same contract as ``check_walk_regular``: irregular degrees report no
+    witness, otherwise the first length ``k`` whose diagonal of ``A^k`` is
+    not constant gives the witness ``(k, 0, y)`` with the smallest such y.
+    """
+    n = net.vertex_count
+    degrees = [len(net.neighbors(z)) for z in range(n)]
+    if len(set(degrees)) > 1:
+        return WalkRegularityReport(
+            is_regular=False, is_walk_regular=False, first_violation=None, checked_k_max=1
+        )
+    adjacency = [[0] * n for _ in range(n)]
+    for a, b, _ in net.edges:
+        adjacency[a][b] = 1
+        adjacency[b][a] = 1
+    power = adjacency
+    for k in range(2, n):
+        power = _int_matmul(power, adjacency)
+        for y in range(1, n):
+            if power[y][y] != power[0][0]:
+                return WalkRegularityReport(
+                    is_regular=True,
+                    is_walk_regular=False,
+                    first_violation=WalkCountMismatch(k=k, x=0, y=y),
+                    checked_k_max=k - 1,
+                )
+    return WalkRegularityReport(
+        is_regular=True, is_walk_regular=True, first_violation=None, checked_k_max=max(1, n - 1)
+    )

@@ -79,6 +79,17 @@ class TestBuild:
         net = build_network(3, [(2, 1, 1), (1, 0, 1)])
         assert net.edges == ((0, 1, 1.0), (1, 2, 1.0))
 
+    def test_neighbors_sorted_whatever_the_input_order(self, corpus):
+        # Monte Carlo draws index into this order, so it must not depend on input order.
+        rng = np.random.default_rng(77)
+        for net in corpus:
+            shuffled = [net.edges[i] for i in rng.permutation(net.edge_count)]
+            flipped = [(b, a, c) if rng.random() < 0.5 else (a, b, c) for a, b, c in shuffled]
+            rebuilt = build_network(net.vertex_count, flipped)
+            for z in range(net.vertex_count):
+                assert rebuilt.neighbors(z) == tuple(sorted(rebuilt.neighbors(z)))
+                assert rebuilt.neighbors(z) == net.neighbors(z)
+
     def test_immutable(self):
         net = triangle()
         with pytest.raises(AttributeError):
