@@ -47,7 +47,6 @@ from .solver import (
     commute_time,
     effective_resistance_matrix,
     hitting_time_matrix,
-    hitting_times_from_pseudoinverse,
     kirchhoff_index_from_spectrum,
     return_time,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "effective_resistance_matrix",
     "kirchhoff_index_from_spectrum",
     "hitting_time_matrix",
-    "hitting_times_from_pseudoinverse",
     "return_time",
     "commute_time",
     "PerturbationReport",

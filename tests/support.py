@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own code paths:
 connectivity uses union-find (the library uses BFS / low-link), the
 exact hitting-time oracle runs Gaussian elimination over ``Fraction``
-(the library uses floating-point numpy solves), and the walk-regularity
+(the library uses floating-point numpy solves), the float hitting-time
+oracle solves one first-step system per target (the library inverts the
+grounded Laplacian once), and the walk-regularity
 oracle multiplies unbounded Python integers (the library compares residues
 modulo primes in float64).
 """
@@ -116,6 +118,59 @@ def hitting_times_by_fractions(net: Network, target: int) -> list[Fraction]:
                 factor = rows[r][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return [rows[r][n] for r in range(n)]
+
+
+def laplacian_by_edge_loop(net: Network) -> np.ndarray:
+    """Weighted Laplacian accumulated one edge at a time."""
+    n = net.vertex_count
+    lap = np.zeros((n, n))
+    for a, b, c in net.edges:
+        lap[a, b] -= c
+        lap[b, a] -= c
+        lap[a, a] += c
+        lap[b, b] += c
+    return lap
+
+
+def _hitting_to_target(transition: np.ndarray, b: int) -> np.ndarray:
+    """Expected steps to reach ``b`` from every vertex, by one first-step solve."""
+    n = transition.shape[0]
+    system = np.eye(n) - transition
+    system[b, :] = 0.0
+    system[b, b] = 1.0
+    rhs = np.ones(n)
+    rhs[b] = 0.0
+    hit = np.linalg.solve(system, rhs)
+    hit[b] = 0.0
+    return hit
+
+
+def hitting_times_by_target_solves(net: Network) -> np.ndarray:
+    """Hitting-time matrix from ``n`` first-step solves, one per target.
+
+    Column ``b`` solves ``(I - P) h = 1`` with row ``b`` replaced by
+    ``h_b = 0``; ``P`` is built from the neighbour lists, not the Laplacian.
+    """
+    n = net.vertex_count
+    transition = np.zeros((n, n))
+    for v in range(n):
+        strength = sum(c for _, c in net.neighbors(v))
+        for y, c in net.neighbors(v):
+            transition[v, y] = c / strength
+    hitting = np.zeros((n, n))
+    for b in range(n):
+        hitting[:, b] = _hitting_to_target(transition, b)
+    return hitting
+
+
+def wide_range_network(rng: np.random.Generator, n_min: int = 6, n_max: int = 12) -> Network:
+    """Random connected graph with conductances ``10**u``, ``u`` uniform in [-3, 3]."""
+    n = int(rng.integers(n_min, n_max + 1))
+    pairs = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    spare = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in pairs]
+    for index in rng.permutation(len(spare))[: int(rng.integers(0, len(spare) // 2 + 1))]:
+        pairs.add(spare[index])
+    return build_network(n, [(a, b, 10.0 ** rng.uniform(-3.0, 3.0)) for a, b in sorted(pairs)])
 
 
 def _int_matmul(left: list[list[int]], right: list[list[int]]) -> list[list[int]]:

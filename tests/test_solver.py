@@ -4,20 +4,28 @@ import pytest
 from ohmwalk import (
     BadParameter,
     BadVertexId,
+    NumericalFailure,
     build_network,
     commute_time,
     complete,
     cycle,
     effective_resistance_matrix,
     hitting_time_matrix,
-    hitting_times_from_pseudoinverse,
     hypercube,
     kirchhoff_index_from_spectrum,
     petersen,
     return_time,
     unitary_cayley,
 )
-from support import WEIGHTED_TRIANGLE, hitting_times_by_fractions, random_corpus
+from ohmwalk.solver import _laplacian
+from support import (
+    WEIGHTED_TRIANGLE,
+    hitting_times_by_fractions,
+    hitting_times_by_target_solves,
+    laplacian_by_edge_loop,
+    random_corpus,
+    wide_range_network,
+)
 
 REL = 1e-9
 ABS_ZERO = 1e-12
@@ -30,6 +38,27 @@ def corpus():
 
 def path3():
     return build_network(3, [(0, 1), (1, 2)])
+
+
+# Two triangles joined by one very weak edge (2, 3): connected, but the
+# Laplacian's second eigenvalue is ~1e-10 of its largest.
+WEAK_BRIDGE = 1e-10
+
+
+def weak_bridge():
+    return build_network(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3, WEAK_BRIDGE)]
+    )
+
+
+def test_laplacian_matches_edge_loop(corpus):
+    # Dyadic conductances sum exactly in any order.
+    for net in corpus:
+        assert np.array_equal(_laplacian(net), laplacian_by_edge_loop(net))
+    rng = np.random.default_rng(907)
+    for _ in range(20):
+        net = wide_range_network(rng)
+        assert np.allclose(_laplacian(net), laplacian_by_edge_loop(net), rtol=1e-14, atol=0.0)
 
 
 class TestEffectiveResistance:
@@ -106,6 +135,11 @@ class TestEffectiveResistance:
         with pytest.raises(BadParameter):
             effective_resistance_matrix(build_network(1, []))
 
+    @pytest.mark.parametrize("route", [effective_resistance_matrix, kirchhoff_index_from_spectrum])
+    def test_weak_bridge_is_numerical_failure_not_disconnected(self, route):
+        with pytest.raises(NumericalFailure, match=r"2 eigenvalues .*smallest: "):
+            route(weak_bridge())
+
 
 class TestHittingTimes:
     @pytest.mark.parametrize("n", [3, 4, 6, 9])
@@ -144,10 +178,44 @@ class TestHittingTimes:
                     assert report.hitting[v, target] == pytest.approx(float(exact[v]), rel=1e-12)
 
     def test_matches_pseudoinverse_route(self, corpus):
-        for net in corpus[:40]:
+        # The per-target first-step solves of the oracle, on every corpus graph.
+        for net in corpus:
             grounded = hitting_time_matrix(net).hitting
-            via_pinv = hitting_times_from_pseudoinverse(net)
-            assert np.allclose(grounded, via_pinv, rtol=REL, atol=1e-9)
+            by_target = hitting_times_by_target_solves(net)
+            assert np.allclose(grounded, by_target, rtol=REL, atol=0.0)
+
+    def test_wide_conductance_range_matches_fraction_oracle(self):
+        rng = np.random.default_rng(4417)
+        for _ in range(12):
+            net = wide_range_network(rng)
+            h = hitting_time_matrix(net).hitting
+            for target in range(net.vertex_count):
+                exact = np.array([float(x) for x in hitting_times_by_fractions(net, target)])
+                assert np.allclose(h[:, target], exact, rtol=REL, atol=0.0)
+
+    def test_one_solve_per_network(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        for net in (hypercube(4), build_network(3, WEIGHTED_TRIANGLE), complete(2)):
+            calls.clear()
+            hitting_time_matrix(net)
+            n = net.vertex_count
+            assert calls == [(n - 1, n - 1)]
+
+    def test_weak_bridge_is_finite(self):
+        net = weak_bridge()
+        report = hitting_time_matrix(net)
+        assert np.all(np.isfinite(report.hitting))
+        assert np.all(np.isfinite(report.return_time))
+        # Commute across the bridge is C * R = C / c.
+        expected = net.total_strength / WEAK_BRIDGE
+        assert report.commute[2, 3] == pytest.approx(expected, rel=1e-7)
 
     def test_walk_regular_families_are_symmetric(self):
         for net in (cycle(8), complete(6), hypercube(3), petersen()):
