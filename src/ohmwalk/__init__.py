@@ -50,12 +50,7 @@ from .solver import (
     kirchhoff_index_from_spectrum,
     return_time,
 )
-from .walk_regular import (
-    WalkCountMismatch,
-    WalkRegularityReport,
-    check_walk_regular,
-    hitting_symmetry_defect,
-)
+from .walk_regular import WalkCountMismatch, WalkRegularityReport, check_walk_regular
 
 __version__ = "0.1.0"
 
@@ -85,7 +80,6 @@ __all__ = [
     "WalkRegularityReport",
     "WalkCountMismatch",
     "check_walk_regular",
-    "hitting_symmetry_defect",
     "McEstimate",
     "WalkSampler",
     "PendantIdentityCheck",

@@ -16,8 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
-from typing import Sequence
+from dataclasses import asdict, fields
+from itertools import chain
+from typing import Iterable, Sequence
 
 from . import generators
 from .edgelist import LabeledNetwork, format_edge_list, parse_edge_list
@@ -57,12 +58,21 @@ def _write_text(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _load(args: argparse.Namespace) -> LabeledNetwork:
-    return parse_edge_list(_read_document(args.input))
+def _emit(args: argparse.Namespace, document: dict, lines: Iterable[str]) -> None:
+    """Print ``document`` as JSON under ``--json``, otherwise the text ``lines``.
+
+    ``lines`` is consumed only for text output, so a generator defers
+    formatting that ``--json`` does not need.
+    """
+    print(json.dumps(document, indent=2) if args.json else "\n".join(lines))
 
 
-def _emit_json(document: dict) -> None:
-    print(json.dumps(document, indent=2))
+def _show(value: float | bool | None) -> str:
+    if value is None:
+        return "n/a"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return _fmt(value)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -77,111 +87,69 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_resistance(args: argparse.Namespace) -> int:
-    doc = _load(args)
+def _cmd_resistance(args: argparse.Namespace, doc: LabeledNetwork) -> int:
     report = effective_resistance_matrix(doc.network)
     if args.pair is not None:
         a, b = (doc.id_of(t) for t in args.pair)
         value = float(report.resistance[a, b])
-        if args.json:
-            _emit_json({"pair": list(args.pair), "resistance": value})
-        else:
-            print(_fmt(value))
+        _emit(args, {"pair": list(args.pair), "resistance": value}, [_fmt(value)])
         return 0
-    if args.json:
-        _emit_json(
-            {
-                "resistance": report.resistance.tolist(),
-                "kirchhoff_index": report.kirchhoff_index,
-                "labels": list(doc.labels),
-            }
-        )
-    else:
-        for row in report.resistance:
-            print(" ".join(_fmt(v) for v in row))
-        print(f"kirchhoff_index: {_fmt(report.kirchhoff_index)}")
+    document = {
+        "resistance": report.resistance.tolist(),
+        "kirchhoff_index": report.kirchhoff_index,
+        "labels": list(doc.labels),
+    }
+    rows = (" ".join(map(_fmt, row)) for row in report.resistance)
+    _emit(args, document, chain(rows, [f"kirchhoff_index: {_fmt(report.kirchhoff_index)}"]))
     return 0
 
 
-def _cmd_kirchhoff(args: argparse.Namespace) -> int:
-    doc = _load(args)
-    report = effective_resistance_matrix(doc.network)
-    if args.json:
-        _emit_json({"kirchhoff_index": report.kirchhoff_index})
-    else:
-        print(_fmt(report.kirchhoff_index))
+def _cmd_kirchhoff(args: argparse.Namespace, doc: LabeledNetwork) -> int:
+    value = effective_resistance_matrix(doc.network).kirchhoff_index
+    _emit(args, {"kirchhoff_index": value}, [_fmt(value)])
     return 0
 
 
-def _cmd_hitting(args: argparse.Namespace) -> int:
-    doc = _load(args)
+def _cmd_hitting(args: argparse.Namespace, doc: LabeledNetwork) -> int:
     a, b = doc.id_of(args.src), doc.id_of(args.dst)
     value = float(hitting_time_matrix(doc.network).hitting[a, b])
-    if args.json:
-        _emit_json({"from": args.src, "to": args.dst, "hitting": value})
-    else:
-        print(_fmt(value))
+    _emit(args, {"from": args.src, "to": args.dst, "hitting": value}, [_fmt(value)])
     return 0
 
 
-def _cmd_return_time(args: argparse.Namespace) -> int:
-    doc = _load(args)
+def _cmd_return_time(args: argparse.Namespace, doc: LabeledNetwork) -> int:
     value = return_time(doc.network, doc.id_of(args.vertex))
-    if args.json:
-        _emit_json({"vertex": args.vertex, "return_time": value})
-    else:
-        print(_fmt(value))
+    _emit(args, {"vertex": args.vertex, "return_time": value}, [_fmt(value)])
     return 0
 
 
-def _cmd_remove_edge(args: argparse.Namespace) -> int:
-    doc = _load(args)
+def _cmd_remove_edge(args: argparse.Namespace, doc: LabeledNetwork) -> int:
     a, b = (doc.id_of(t) for t in args.edge)
     report = analyze_edge_removal(doc.network, a, b)
-    document = asdict(report)
-    document["edge"] = {"a": report.edge.a, "b": report.edge.b}
-    document["labels"] = list(doc.labels)
-    if args.json:
-        _emit_json(document)
-        return 0
-    print(f"edge: {doc.labels[report.edge.a]} {doc.labels[report.edge.b]}")
-    for field in (
-        "r_before",
-        "r_after_predicted",
-        "r_after_direct",
-        "r_increment",
-        "hitting_before",
-        "hitting_after_predicted",
-        "hitting_after_direct",
-        "kirchhoff_before",
-        "kirchhoff_after",
-    ):
-        value = document[field]
-        print(f"{field}: {'n/a' if value is None else _fmt(value)}")
-    print(f"walk_regular: {str(report.walk_regular).lower()}")
+    document = {**asdict(report), "labels": list(doc.labels)}
+    lines = [f"edge: {doc.labels[report.edge.a]} {doc.labels[report.edge.b]}"]
+    lines += [f"{f.name}: {_show(getattr(report, f.name))}" for f in fields(report) if f.name != "edge"]
+    _emit(args, document, lines)
     return 0
 
 
-def _cmd_walk_regular(args: argparse.Namespace) -> int:
-    doc = _load(args)
+def _cmd_walk_regular(args: argparse.Namespace, doc: LabeledNetwork) -> int:
     report = check_walk_regular(doc.network)
-    document = asdict(report)
-    if args.json:
-        _emit_json(document)
-        return 0
-    print(f"is_regular: {str(report.is_regular).lower()}")
-    print(f"is_walk_regular: {str(report.is_walk_regular).lower()}")
-    if report.first_violation is None:
-        print("first_violation: none")
-    else:
-        v = report.first_violation
-        print(f"first_violation: k={v.k} x={v.x} y={v.y}")
-    print(f"checked_k_max: {report.checked_k_max}")
+    v = report.first_violation
+    _emit(
+        args,
+        asdict(report),
+        [
+            f"is_regular: {_show(report.is_regular)}",
+            f"is_walk_regular: {_show(report.is_walk_regular)}",
+            f"first_violation: {'none' if v is None else f'k={v.k} x={v.x} y={v.y}'}",
+            f"checked_k_max: {report.checked_k_max}",
+        ],
+    )
     return 0
 
 
-def _cmd_mc_verify(args: argparse.Namespace) -> int:
-    doc = _load(args)
+def _cmd_mc_verify(args: argparse.Namespace, doc: LabeledNetwork) -> int:
     net = doc.network
     document: dict = {"what": args.what, "samples": args.samples, "seed": args.seed}
     if args.what == "return":
@@ -211,24 +179,20 @@ def _cmd_mc_verify(args: argparse.Namespace) -> int:
         document["cz_formula"] = check.cz_formula
 
     passed = abs(estimate.mean - exact) <= 3.0 * estimate.stderr
-    document.update(
-        {
-            "exact": exact,
-            "mean": estimate.mean,
-            "stderr": estimate.stderr,
-            "pass": passed,
-        }
+    document.update({"exact": exact, "mean": estimate.mean, "stderr": estimate.stderr, "pass": passed})
+    _emit(
+        args,
+        document,
+        [
+            f"what: {args.what}",
+            f"exact: {_fmt(exact)}",
+            f"mean: {_fmt(estimate.mean)}",
+            f"stderr: {_fmt(estimate.stderr)}",
+            f"samples: {estimate.samples}",
+            f"seed: {estimate.seed}",
+            f"result: {'PASS' if passed else 'FAIL'} (threshold 3*stderr)",
+        ],
     )
-    if args.json:
-        _emit_json(document)
-    else:
-        print(f"what: {args.what}")
-        print(f"exact: {_fmt(exact)}")
-        print(f"mean: {_fmt(estimate.mean)}")
-        print(f"stderr: {_fmt(estimate.stderr)}")
-        print(f"samples: {estimate.samples}")
-        print(f"seed: {estimate.seed}")
-        print(f"result: {'PASS' if passed else 'FAIL'} (threshold 3*stderr)")
     return 0 if passed else 1
 
 
@@ -248,7 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help=f"one of: {', '.join(sorted(_FAMILIES))}")
     p.add_argument("params", nargs="*", type=int, help="family parameters")
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-    p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("resistance", help="effective resistance matrix or a single pair")
     _add_input(p)
@@ -292,15 +255,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parsing leaves no state on the parser, so every
+# call starts from the same one.
+_PARSER = _build_parser()
+
+
 def run_cli(argv: Sequence[str]) -> int:
     """Parse and dispatch; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code) if exc.code else 0
     try:
-        return args.handler(args)
+        if args.command == "gen":
+            return _cmd_gen(args)
+        return args.handler(args, parse_edge_list(_read_document(args.input)))
     except (OhmwalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,15 @@ reproducible: walker ``i`` draws from a dedicated PCG64 substream derived
 from ``(seed, i)``, so results are bit-identical across runs and do not
 depend on how walkers might be scheduled.
 
+All estimators run one kernel, ``_walk``: from a start vertex it draws one
+uniform per step through :meth:`WalkSampler.step` until the walk reaches a
+stop vertex, and reports the step count and the number of visits to the
+start on the way. A return time is a walk stopped at its own start, a
+hitting time one stopped at the target, and the excursion count is the
+number of returns before a walk from the anchor reaches the pendant tip.
+Step cap: a walk that reaches its stop on step ``MAX_WALK_STEPS`` counts;
+one that needs more raises :class:`WalkLengthExceeded`.
+
 Verification convention: an estimate agrees with an exact value when
 ``|mean - exact| <= 3 * stderr`` (roughly a 0.3% false-failure budget per
 check at large sample counts); corpus-level checks allow up to 1% of
@@ -122,24 +131,42 @@ def _summarize(values: list[int], samples: int, seed: int) -> McEstimate:
     return McEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
 
 
+def _walk(sampler: WalkSampler, rng: np.random.Generator, start: int, stop: int) -> tuple[int, int]:
+    """Step from ``start`` until the walk is at ``stop``; returns the step
+    count and the number of visits to ``start`` after the first step.
+
+    Raises:
+        WalkLengthExceeded: the walk has not reached ``stop`` after
+            ``MAX_WALK_STEPS`` steps.
+    """
+    v = start
+    steps = returns = 0
+    while True:
+        v = sampler.step(rng, v)
+        steps += 1
+        if v == stop:
+            return steps, returns
+        if steps >= MAX_WALK_STEPS:
+            raise WalkLengthExceeded(f"walk {start} -> {stop} exceeded {MAX_WALK_STEPS} steps")
+        if v == start:
+            returns += 1
+
+
+_STEPS, _RETURNS = 0, 1
+
+
+def _sample(net: Network, start: int, stop: int, samples: int, seed: int, field: int) -> McEstimate:
+    """Mean of one ``_walk`` result, ``_STEPS`` or ``_RETURNS``, over seeded walkers."""
+    sampler = WalkSampler(net)
+    values = [_walk(sampler, rng, start, stop)[field] for rng in _walker_rngs(seed, samples)]
+    return _summarize(values, samples, seed)
+
+
 def estimate_return_time(net: Network, z: int, samples: int, seed: int) -> McEstimate:
     """Mean steps for the walk started at ``z`` to first come back to ``z``."""
     net._require_vertex(z)
     _require_samples_and_seed(samples, seed)
-    sampler = WalkSampler(net)
-    values = []
-    for rng in _walker_rngs(seed, samples):
-        v = z
-        steps = 0
-        while True:
-            v = sampler.step(rng, v)
-            steps += 1
-            if v == z:
-                break
-            if steps >= MAX_WALK_STEPS:
-                raise WalkLengthExceeded(f"return walk from {z} exceeded {MAX_WALK_STEPS} steps")
-        values.append(steps)
-    return _summarize(values, samples, seed)
+    return _sample(net, z, z, samples, seed, _STEPS)
 
 
 def estimate_hitting_time(net: Network, a: int, b: int, samples: int, seed: int) -> McEstimate:
@@ -149,18 +176,7 @@ def estimate_hitting_time(net: Network, a: int, b: int, samples: int, seed: int)
     if a == b:
         raise BadVertexId("hitting time needs two distinct vertices")
     _require_samples_and_seed(samples, seed)
-    sampler = WalkSampler(net)
-    values = []
-    for rng in _walker_rngs(seed, samples):
-        v = a
-        steps = 0
-        while v != b:
-            v = sampler.step(rng, v)
-            steps += 1
-            if steps >= MAX_WALK_STEPS and v != b:
-                raise WalkLengthExceeded(f"walk {a} -> {b} exceeded {MAX_WALK_STEPS} steps")
-        values.append(steps)
-    return _summarize(values, samples, seed)
+    return _sample(net, a, b, samples, seed, _STEPS)
 
 
 def verify_pendant_identities(net: Network, z: int, samples: int, seed: int) -> PendantIdentityCheck:
@@ -191,26 +207,7 @@ def excursion_count_check(net: Network, z: int, samples: int, seed: int) -> Excu
     net._require_vertex(z)
     _require_samples_and_seed(samples, seed)
     extended, tip = net.add_pendant_vertex(z, 1.0)
-    sampler = WalkSampler(extended)
-    counts = []
-    for rng in _walker_rngs(seed, samples):
-        excursions = 0
-        steps = 0
-        while True:
-            v = sampler.step(rng, z)
-            steps += 1
-            if v == tip:
-                break
-            while v != z:
-                v = sampler.step(rng, v)
-                steps += 1
-                if steps >= MAX_WALK_STEPS:
-                    raise WalkLengthExceeded(
-                        f"excursion walk at {z} exceeded {MAX_WALK_STEPS} steps"
-                    )
-            excursions += 1
-        counts.append(excursions)
     return ExcursionCountCheck(
-        mean_excursions=_summarize(counts, samples, seed),
+        mean_excursions=_sample(extended, z, tip, samples, seed, _RETURNS),
         expected=net.vertex_strength(z),
     )

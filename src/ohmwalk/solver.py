@@ -120,16 +120,15 @@ def effective_resistance_matrix(net: Network) -> ResistanceReport:
     """All pairwise effective resistances plus the Kirchhoff index.
 
     Resistances come from the Laplacian pseudoinverse via
-    ``R_ab = P_aa + P_bb - 2 P_ab``; the Kirchhoff index is the plain sum
-    over unordered pairs of that matrix.
+    ``R_ab = P_aa + P_bb - 2 P_ab``; the Kirchhoff index, the sum over
+    unordered pairs, is half the sum of that symmetric matrix.
     """
     _require_multivertex(net)
     pinv = _pseudoinverse(net)
     diag = np.diag(pinv)
     resistance = diag[:, None] + diag[None, :] - 2.0 * pinv
     np.fill_diagonal(resistance, 0.0)
-    n = net.vertex_count
-    kirchhoff = float(resistance[np.triu_indices(n, k=1)].sum())
+    kirchhoff = float(resistance.sum() / 2.0)
     resistance.setflags(write=False)
     return ResistanceReport(resistance=resistance, kirchhoff_index=kirchhoff)
 

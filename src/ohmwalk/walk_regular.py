@@ -32,13 +32,11 @@ import numpy as np
 
 from .errors import BadParameter, NonUnitConductance
 from .network import Network
-from .solver import hitting_time_matrix
 
 __all__ = [
     "WalkCountMismatch",
     "WalkRegularityReport",
     "check_walk_regular",
-    "hitting_symmetry_defect",
 ]
 
 
@@ -169,14 +167,3 @@ def check_walk_regular(net: Network) -> WalkRegularityReport:
         is_regular=True, is_walk_regular=True, first_violation=None, checked_k_max=max(1, n - 1)
     )
 
-
-def hitting_symmetry_defect(net: Network) -> float:
-    """Largest relative asymmetry ``|E_aT_b - E_bT_a| / max(1, E_aT_b)``.
-
-    A numerical witness: walk-regular graphs have symmetric hitting times,
-    so a certified graph must score ~0 here. The converse does not hold;
-    this is a diagnostic, not a certificate.
-    """
-    hitting = hitting_time_matrix(net).hitting
-    gap = np.abs(hitting - hitting.T) / np.maximum(1.0, hitting)
-    return float(gap.max())

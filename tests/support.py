@@ -5,19 +5,30 @@ connectivity uses union-find (the library uses BFS / low-link), the
 exact hitting-time oracle runs Gaussian elimination over ``Fraction``
 (the library uses floating-point numpy solves), the float hitting-time
 oracle solves one first-step system per target (the library inverts the
-grounded Laplacian once), and the walk-regularity
+grounded Laplacian once), the walk-regularity
 oracle multiplies unbounded Python integers (the library compares residues
-modulo primes in float64).
+modulo primes in float64), and the Monte Carlo oracles walk each estimator
+with its own hand-written loop and no step cap (the library runs one
+shared walk kernel).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from ohmwalk import Network, WalkCountMismatch, WalkRegularityReport, build_network
+from ohmwalk import (
+    McEstimate,
+    Network,
+    WalkCountMismatch,
+    WalkRegularityReport,
+    WalkSampler,
+    build_network,
+    hitting_time_matrix,
+)
 
 # 3-regular, connected, 8 vertices: one triangle (0-1-2) feeding a
 # triangle-free tail, so per-vertex closed-3-walk counts are (2,2,2,0,...).
@@ -209,3 +220,83 @@ def walk_regular_by_python_ints(net: Network) -> WalkRegularityReport:
     return WalkRegularityReport(
         is_regular=True, is_walk_regular=True, first_violation=None, checked_k_max=max(1, n - 1)
     )
+
+
+def hitting_symmetry_defect(net: Network) -> float:
+    """Largest relative asymmetry ``|E_aT_b - E_bT_a| / max(1, E_aT_b)``.
+
+    A numerical witness: walk-regular graphs have symmetric hitting times,
+    so a certified graph must score ~0 here. The converse does not hold;
+    this is a diagnostic, not a certificate.
+    """
+    hitting = hitting_time_matrix(net).hitting
+    gap = np.abs(hitting - hitting.T) / np.maximum(1.0, hitting)
+    return float(gap.max())
+
+
+def _walker_generators(seed: int, samples: int) -> list[np.random.Generator]:
+    children = np.random.SeedSequence(seed).spawn(samples)
+    return [np.random.Generator(np.random.PCG64(child)) for child in children]
+
+
+def return_walks_by_loop(net: Network, z: int, samples: int, seed: int) -> list[int]:
+    """Per-walker first-return step counts, one hand-written loop per walker."""
+    sampler = WalkSampler(net)
+    values = []
+    for rng in _walker_generators(seed, samples):
+        v = z
+        steps = 0
+        while True:
+            v = sampler.step(rng, v)
+            steps += 1
+            if v == z:
+                break
+        values.append(steps)
+    return values
+
+
+def hitting_walks_by_loop(net: Network, a: int, b: int, samples: int, seed: int) -> list[int]:
+    """Per-walker first-passage step counts from ``a`` to ``b``."""
+    sampler = WalkSampler(net)
+    values = []
+    for rng in _walker_generators(seed, samples):
+        v = a
+        steps = 0
+        while v != b:
+            v = sampler.step(rng, v)
+            steps += 1
+        values.append(steps)
+    return values
+
+
+def excursion_walks_by_loop(net: Network, z: int, samples: int, seed: int) -> list[tuple[int, int]]:
+    """Per-walker ``(excursions, steps)`` before absorption at a unit pendant on ``z``.
+
+    Each visit to ``z`` either steps to the tip or starts an excursion that
+    is walked out, by an inner loop, until the walk is back at ``z``.
+    """
+    extended, tip = net.add_pendant_vertex(z, 1.0)
+    sampler = WalkSampler(extended)
+    values = []
+    for rng in _walker_generators(seed, samples):
+        excursions = 0
+        steps = 0
+        while True:
+            v = sampler.step(rng, z)
+            steps += 1
+            if v == tip:
+                break
+            while v != z:
+                v = sampler.step(rng, v)
+                steps += 1
+            excursions += 1
+        values.append((excursions, steps))
+    return values
+
+
+def mc_estimate(values: list[int], seed: int) -> McEstimate:
+    """Sample mean and standard error of per-walker values."""
+    arr = np.asarray(values, dtype=float)
+    samples = len(values)
+    stderr = float(arr.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return McEstimate(mean=float(arr.mean()), stderr=stderr, samples=samples, seed=seed)

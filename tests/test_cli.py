@@ -249,3 +249,84 @@ class TestErrorChannel:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "mc-verify" in out
+
+
+def pipe(capsys, monkeypatch, producer, consumer):
+    """``ohmwalk <producer> | ohmwalk <consumer>``: the second reads the first's stdout."""
+    code, out, _ = run(capsys, *producer)
+    assert code == 0
+    feed_stdin(monkeypatch, out)
+    return run(capsys, *consumer)
+
+
+class TestReadmeExamples:
+    def test_cycle_return_time(self, capsys, monkeypatch):
+        result = pipe(capsys, monkeypatch, ("gen", "cycle", "8"), ("return-time", "--vertex", "0"))
+        assert result == (0, "8\n", "")
+
+    def test_hypercube_remove_edge(self, capsys, monkeypatch):
+        result = pipe(capsys, monkeypatch, ("gen", "hypercube", "3"), ("remove-edge", "--edge", "0", "1"))
+        assert result == (
+            0,
+            "edge: 0 1\n"
+            "r_before: 0.583333333333\n"
+            "r_after_predicted: 1.4\n"
+            "r_after_direct: 1.4\n"
+            "r_increment: 0.816666666667\n"
+            "hitting_before: 7\n"
+            "hitting_after_predicted: 15.4\n"
+            "hitting_after_direct: 15.4\n"
+            "kirchhoff_before: 19.3333333333\n"
+            "kirchhoff_after: 23.2\n"
+            "walk_regular: true\n",
+            "",
+        )
+
+    def test_golden_mc_verify(self, capsys, monkeypatch):
+        result = pipe(
+            capsys, monkeypatch, ("gen", "complete", "3"),
+            ("mc-verify", "--what", "pendant", "--vertex", "0", "--samples", "20000", "--seed", "42"),
+        )
+        assert result == (
+            0,
+            "what: pendant\n"
+            "exact: 7\n"
+            "mean: 7.0508\n"
+            "stderr: 0.0542908219008\n"
+            "samples: 20000\n"
+            "seed: 42\n"
+            "result: PASS (threshold 3*stderr)\n",
+            "",
+        )
+
+
+class TestSharedParser:
+    """The parser is built once per process; no call may see another's state."""
+
+    def test_json_flag_does_not_stick(self, tmp_path, capsys):
+        path = tmp_path / "cube.edges"
+        run(capsys, "gen", "hypercube", "3", "-o", str(path))
+        args = ("hitting", "-i", str(path), "--from", "0", "--to", "1")
+        alone = run(capsys, *args)
+        code, out, _ = run(capsys, *args, "--json")
+        assert code == 0 and json.loads(out)["hitting"] == pytest.approx(7.0)
+        assert run(capsys, *args) == alone == (0, "7\n", "")
+
+    def test_usage_error_does_not_stick(self, tmp_path, capsys):
+        path = tmp_path / "cube.edges"
+        run(capsys, "gen", "hypercube", "3", "-o", str(path))
+        args = ("hitting", "-i", str(path), "--from", "0", "--to", "1")
+        alone = run(capsys, *args)
+        code, _, err = run(capsys, "hitting", "-i", str(path), "--from", "0")
+        assert code == 2 and "--to" in err
+        assert run(capsys, *args) == alone == (0, "7\n", "")
+
+    def test_optional_values_do_not_carry_over(self, capsys, monkeypatch):
+        feed_stdin(monkeypatch, TRIANGLE)
+        code, _, _ = run(capsys, "mc-verify", "--what", "return", "--vertex", "a",
+                         "--samples", "10", "--seed", "1")
+        assert code in (0, 1)
+        feed_stdin(monkeypatch, TRIANGLE)
+        code, _, err = run(capsys, "mc-verify", "--what", "return", "--samples", "10", "--seed", "1")
+        assert code == 2
+        assert "--vertex" in err

@@ -14,10 +14,17 @@ from ohmwalk import (
     estimate_return_time,
     excursion_count_check,
     hypercube,
+    petersen,
     return_time,
     verify_pendant_identities,
 )
-from support import WEIGHTED_TRIANGLE
+from support import (
+    WEIGHTED_TRIANGLE,
+    excursion_walks_by_loop,
+    hitting_walks_by_loop,
+    mc_estimate,
+    return_walks_by_loop,
+)
 
 
 def k3():
@@ -198,3 +205,76 @@ class TestGuards:
         monkeypatch.setattr(mc, "MAX_WALK_STEPS", 3)
         with pytest.raises(WalkLengthExceeded):
             estimate_hitting_time(cycle(9), 0, 4, 50, 1)
+
+
+def _with_oracle(kind, net, args, samples, seed):
+    """Library estimate, loop-oracle estimate and per-walker step counts."""
+    if kind == "return":
+        steps = return_walks_by_loop(net, *args, samples, seed)
+        return estimate_return_time(net, *args, samples, seed), mc_estimate(steps, seed), steps
+    if kind == "hitting":
+        steps = hitting_walks_by_loop(net, *args, samples, seed)
+        return estimate_hitting_time(net, *args, samples, seed), mc_estimate(steps, seed), steps
+    if kind == "pendant":
+        (z,) = args
+        extended, tip = net.add_pendant_vertex(z, 1.0)
+        steps = hitting_walks_by_loop(extended, z, tip, samples, seed)
+        return verify_pendant_identities(net, z, samples, seed).lhs, mc_estimate(steps, seed), steps
+    walks = excursion_walks_by_loop(net, *args, samples, seed)
+    oracle = mc_estimate([count for count, _ in walks], seed)
+    return excursion_count_check(net, *args, samples, seed).mean_excursions, oracle, [s for _, s in walks]
+
+
+KERNEL_CASES = [
+    ("return", weighted_triangle(), (0,)),
+    ("return", cycle(7), (3,)),
+    ("return", hypercube(3), (0,)),
+    ("hitting", weighted_triangle(), (0, 2)),
+    ("hitting", cycle(6), (0, 3)),
+    ("hitting", petersen(), (0, 5)),
+    ("pendant", k3(), (0,)),
+    ("pendant", weighted_triangle(), (1,)),
+    ("excursion", weighted_triangle(), (0,)),
+    ("excursion", k3(), (0,)),
+    ("excursion", cycle(5), (2,)),
+]
+KERNEL_IDS = [f"{kind}-n{net.vertex_count}-{args}" for kind, net, args in KERNEL_CASES]
+
+
+class TestKernelMatchesLoops:
+    @pytest.mark.parametrize("seed", [42, 2**32 + 7, 2**64 - 1])
+    @pytest.mark.parametrize("kind, net, args", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_estimates_equal_the_loop_oracle(self, kind, net, args, seed):
+        estimate, oracle, _ = _with_oracle(kind, net, args, 400, seed)
+        assert estimate == oracle
+
+
+class TestStepCap:
+    def test_hitting_done_on_the_capped_step_counts(self, monkeypatch):
+        monkeypatch.setattr(mc, "MAX_WALK_STEPS", 1)
+        assert estimate_hitting_time(complete(2), 0, 1, 20, 3).mean == 1.0
+
+    def test_return_done_on_the_capped_step_counts(self, monkeypatch):
+        monkeypatch.setattr(mc, "MAX_WALK_STEPS", 2)
+        assert estimate_return_time(complete(2), 0, 20, 3).mean == 2.0
+
+    def test_return_needing_one_more_step_raises(self, monkeypatch):
+        monkeypatch.setattr(mc, "MAX_WALK_STEPS", 1)
+        with pytest.raises(WalkLengthExceeded):
+            estimate_return_time(complete(2), 0, 20, 3)
+
+    @pytest.mark.parametrize("kind", ["return", "hitting", "pendant", "excursion"])
+    def test_longest_walk_is_the_boundary(self, kind, monkeypatch):
+        net, args = {
+            "return": (cycle(5), (0,)),
+            "hitting": (cycle(6), (0, 3)),
+            "pendant": (k3(), (0,)),
+            "excursion": (weighted_triangle(), (0,)),
+        }[kind]
+        _, oracle, steps = _with_oracle(kind, net, args, 200, 17)
+        longest = max(steps)
+        monkeypatch.setattr(mc, "MAX_WALK_STEPS", longest)
+        assert _with_oracle(kind, net, args, 200, 17)[0] == oracle
+        monkeypatch.setattr(mc, "MAX_WALK_STEPS", longest - 1)
+        with pytest.raises(WalkLengthExceeded):
+            _with_oracle(kind, net, args, 200, 17)

@@ -14,7 +14,6 @@ from ohmwalk import (
     complete,
     cycle,
     effective_resistance_matrix,
-    hitting_symmetry_defect,
     hitting_time_matrix,
     hypercube,
     petersen,
@@ -25,6 +24,7 @@ from support import (
     CUBIC_UNEVEN_TRIANGLES,
     STAR_K13,
     WEIGHTED_TRIANGLE,
+    hitting_symmetry_defect,
     walk_regular_by_python_ints,
 )
 
