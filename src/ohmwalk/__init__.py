@@ -44,7 +44,6 @@ from .perturbation import (
 from .solver import (
     HittingReport,
     ResistanceReport,
-    commute_time,
     effective_resistance_matrix,
     hitting_time_matrix,
     kirchhoff_index_from_spectrum,
@@ -70,7 +69,6 @@ __all__ = [
     "kirchhoff_index_from_spectrum",
     "hitting_time_matrix",
     "return_time",
-    "commute_time",
     "PerturbationReport",
     "predicted_removed_resistance",
     "resistance_increment",

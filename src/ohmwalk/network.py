@@ -16,7 +16,10 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     BadParameter,
@@ -111,6 +114,19 @@ class Network:
         return tuple(map(tuple, lists))
 
     @cached_property
+    def _laplacian(self) -> np.ndarray:
+        """Read-only weighted Laplacian: diagonal of strengths minus conductances."""
+        n = self.vertex_count
+        a, b, c = np.fromiter(chain.from_iterable(self.edges), float).reshape(-1, 3).T
+        a, b = a.astype(np.intp), b.astype(np.intp)
+        lap = np.zeros((n, n))
+        lap[a, b] = -c
+        lap[b, a] = -c
+        lap.flat[:: n + 1] = np.bincount(a, c, n) + np.bincount(b, c, n)
+        lap.setflags(write=False)
+        return lap
+
+    @cached_property
     def _conductance_by_pair(self) -> dict[tuple[int, int], float]:
         return {(a, b): c for a, b, c in self.edges}
 
@@ -119,7 +135,7 @@ class Network:
         """Number of edges ``m``."""
         return len(self.edges)
 
-    @property
+    @cached_property
     def is_unit_conductance(self) -> bool:
         """True iff every edge has conductance exactly 1."""
         return all(c == 1.0 for _, _, c in self.edges)
@@ -236,13 +252,10 @@ class Network:
         """Return a new network with edge {a, b} deleted.
 
         Raises:
+            BadVertexId: an endpoint is not a vertex.
             NoSuchEdge: the pair is not an edge.
             WouldDisconnect: the edge is a cut-edge.
         """
-        a = self._require_vertex(a)
-        b = self._require_vertex(b)
-        if not self.has_edge(a, b):
-            raise NoSuchEdge(f"({a}, {b}) is not an edge")
         if self.is_cut_edge(a, b):
             raise WouldDisconnect(f"({a}, {b}) is a cut-edge; removal would disconnect the graph")
         key = (min(a, b), max(a, b))

@@ -85,6 +85,11 @@ _PRIMES = (
 # Every integer of magnitude up to 2^53 is exact in float64.
 _EXACT_LIMIT = 2**53
 
+# Largest residue stack, ``primes * n * n`` float64 values, that the certificate
+# will allocate; each power step allocates one more of the same size. The
+# largest graph of the test suite and the benchmark, Q_7, needs 1.5 MiB.
+MAX_RESIDUE_BYTES = 256 * 2**20
+
 
 def _moduli(degree: int, n: int) -> tuple[int, ...]:
     """Leading primes of the table whose product exceeds ``degree^(n-1)``.
@@ -115,13 +120,22 @@ def _moduli(degree: int, n: int) -> tuple[int, ...]:
 
 
 def _first_violation(net: Network, degree: int) -> Optional[WalkCountMismatch]:
-    """First ``(k, 0, y)`` whose closed-walk counts differ, for ``2 <= k < n``."""
+    """First ``(k, 0, y)`` whose closed-walk counts differ, for ``2 <= k < n``.
+
+    Raises:
+        BadParameter: the residue stack would pass ``MAX_RESIDUE_BYTES``.
+    """
     n = net.vertex_count
     primes = _moduli(degree, n)
+    needed = len(primes) * n * n * 8
+    if needed > MAX_RESIDUE_BYTES:
+        raise BadParameter(
+            f"certifying n={n} needs {len(primes)} primes and {needed} bytes of "
+            f"residues, over the limit of {MAX_RESIDUE_BYTES} bytes"
+        )
     moduli = np.array(primes, dtype=np.float64)[:, None]
-    a, b = np.array(net.edges)[:, :2].astype(np.intp).T
-    adjacency = np.zeros((n, n))
-    adjacency[a, b] = adjacency[b, a] = 1.0
+    # Off the diagonal, a unit-conductance Laplacian is minus the adjacency.
+    adjacency = (net._laplacian < 0.0).astype(np.float64)
     power = np.repeat(adjacency[None], len(primes), axis=0)
     largest = 1  # bound on every entry of ``power``
     for k in range(2, n):
@@ -144,7 +158,8 @@ def check_walk_regular(net: Network) -> WalkRegularityReport:
         NonUnitConductance: the check is combinatorial and only defined for
             the unweighted graph.
         BadParameter: the graph is regular but its closed-walk counts are
-            beyond what the prime table can certify exactly.
+            beyond what the prime table can certify exactly, or their
+            residues would need more than ``MAX_RESIDUE_BYTES``.
     """
     if not net.is_unit_conductance:
         raise NonUnitConductance("walk-regularity is defined on unit-conductance graphs")

@@ -5,7 +5,10 @@ connectivity uses union-find (the library uses BFS / low-link), the
 exact hitting-time oracle runs Gaussian elimination over ``Fraction``
 (the library uses floating-point numpy solves), the float hitting-time
 oracle solves one first-step system per target (the library inverts the
-grounded Laplacian once), the walk-regularity
+grounded Laplacian once), the commute-time oracle grounds the edge-loop
+Laplacian at each end of the pair (the library reads every pair off one
+grounded inverse), the return-time oracle applies the first-step relation
+(the library uses the closed form ``C / C_z``), the walk-regularity
 oracle multiplies unbounded Python integers (the library compares residues
 modulo primes in float64), and the Monte Carlo oracles walk each estimator
 with its own hand-written loop and no step cap (the library runs one
@@ -141,6 +144,31 @@ def laplacian_by_edge_loop(net: Network) -> np.ndarray:
         lap[a, a] += c
         lap[b, b] += c
     return lap
+
+
+def _steps_to_by_grounded_solve(lap: np.ndarray, target: int) -> np.ndarray:
+    """Expected steps to ``target``: ``L h = s`` off ``target``, ``h[target] = 0``."""
+    keep = np.arange(lap.shape[0]) != target
+    steps = np.zeros(lap.shape[0])
+    steps[keep] = np.linalg.solve(lap[np.ix_(keep, keep)], np.diag(lap)[keep])
+    return steps
+
+
+def commute_time_by_grounded_solves(net: Network, a: int, b: int) -> float:
+    """Expected round trip a -> b -> a, by two grounded solves of the edge-loop Laplacian."""
+    lap = laplacian_by_edge_loop(net)
+    return float(_steps_to_by_grounded_solve(lap, b)[a] + _steps_to_by_grounded_solve(lap, a)[b])
+
+
+def return_times_by_first_step(net: Network) -> np.ndarray:
+    """Per-vertex expected first return ``1 + sum_y P[z, y] H[y, z]``.
+
+    ``P[z, y] = -L[z, y] / s_z`` comes from the edge-loop Laplacian and ``H``
+    from ``hitting_time_matrix``.
+    """
+    lap = laplacian_by_edge_loop(net)
+    hitting = hitting_time_matrix(net).hitting
+    return 1.0 - np.einsum("zy,yz->z", lap, hitting) / np.diag(lap)
 
 
 def _hitting_to_target(transition: np.ndarray, b: int) -> np.ndarray:

@@ -41,6 +41,7 @@ from support import (
     WEIGHTED_TRIANGLE,
     connected_graphs_on,
     random_corpus,
+    return_times_by_first_step,
 )
 
 REL = 1e-9
@@ -85,7 +86,7 @@ def test_c01_return_time_closed_form_matches_first_step_solve(corpus):
         assert len(corpus) == 200
         for net in corpus:
             assert net.vertex_count <= 30
-            first_step = hitting_time_matrix(net).return_time
+            first_step = return_times_by_first_step(net)
             for z in range(net.vertex_count):
                 closed = return_time(net, z)
                 assert abs(closed - first_step[z]) <= REL * closed

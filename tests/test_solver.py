@@ -6,7 +6,7 @@ from ohmwalk import (
     BadVertexId,
     NumericalFailure,
     build_network,
-    commute_time,
+    check_walk_regular,
     complete,
     cycle,
     effective_resistance_matrix,
@@ -17,13 +17,14 @@ from ohmwalk import (
     return_time,
     unitary_cayley,
 )
-from ohmwalk.solver import _laplacian
 from support import (
     WEIGHTED_TRIANGLE,
+    commute_time_by_grounded_solves,
     hitting_times_by_fractions,
     hitting_times_by_target_solves,
     laplacian_by_edge_loop,
     random_corpus,
+    return_times_by_first_step,
     wide_range_network,
 )
 
@@ -54,11 +55,28 @@ def weak_bridge():
 def test_laplacian_matches_edge_loop(corpus):
     # Dyadic conductances sum exactly in any order.
     for net in corpus:
-        assert np.array_equal(_laplacian(net), laplacian_by_edge_loop(net))
+        assert np.array_equal(net._laplacian, laplacian_by_edge_loop(net))
     rng = np.random.default_rng(907)
     for _ in range(20):
         net = wide_range_network(rng)
-        assert np.allclose(_laplacian(net), laplacian_by_edge_loop(net), rtol=1e-14, atol=0.0)
+        assert np.allclose(net._laplacian, laplacian_by_edge_loop(net), rtol=1e-14, atol=0.0)
+
+
+def test_laplacian_is_built_once_and_read_only():
+    consumers = (effective_resistance_matrix, kirchhoff_index_from_spectrum,
+                 hitting_time_matrix, check_walk_regular)
+    for consumer in consumers:
+        fresh = hypercube(3)
+        consumer(fresh)
+        assert "_laplacian" in vars(fresh), consumer.__name__
+    net = hypercube(3)
+    seen = []
+    for consumer in consumers:
+        consumer(net)
+        seen.append(vars(net)["_laplacian"])
+    assert all(lap is seen[0] for lap in seen)
+    with pytest.raises(ValueError):
+        seen[0][0, 1] = 0.0
 
 
 class TestEffectiveResistance:
@@ -212,7 +230,7 @@ class TestHittingTimes:
         net = weak_bridge()
         report = hitting_time_matrix(net)
         assert np.all(np.isfinite(report.hitting))
-        assert np.all(np.isfinite(report.return_time))
+        assert np.all(np.isfinite(return_times_by_first_step(net)))
         # Commute across the bridge is C * R = C / c.
         expected = net.total_strength / WEAK_BRIDGE
         assert report.commute[2, 3] == pytest.approx(expected, rel=1e-7)
@@ -247,7 +265,7 @@ class TestReturnTimes:
 
     def test_closed_form_matches_first_step_solve(self, corpus):
         for net in corpus:
-            first_step = hitting_time_matrix(net).return_time
+            first_step = return_times_by_first_step(net)
             for z in range(net.vertex_count):
                 closed = return_time(net, z)
                 assert abs(closed - first_step[z]) <= REL * closed
@@ -260,17 +278,26 @@ class TestReturnTimes:
 class TestCommuteTimes:
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_cycle_neighbors(self, n):
-        assert commute_time(cycle(n), 0, 1) == pytest.approx(2.0 * (n - 1), rel=REL)
+        commute = hitting_time_matrix(cycle(n)).commute
+        assert commute[0, 1] == pytest.approx(2.0 * (n - 1), rel=REL)
 
     def test_path_endpoints(self):
-        assert commute_time(path3(), 0, 2) == pytest.approx(8.0, rel=REL)
+        assert hitting_time_matrix(path3()).commute[0, 2] == pytest.approx(8.0, rel=REL)
 
     def test_pendant_round_trip_is_strength_plus_two(self, corpus):
         for net in corpus[:10]:
             z = 0
             extended, tip = net.add_pendant_vertex(z, 1.0)
             expected = net.total_strength + 2.0
-            assert commute_time(extended, z, tip) == pytest.approx(expected, rel=REL)
+            commute = hitting_time_matrix(extended).commute
+            assert commute[z, tip] == pytest.approx(expected, rel=REL)
+
+    def test_matches_grounded_solves_oracle(self, corpus):
+        for net in corpus:
+            commute = hitting_time_matrix(net).commute
+            for b in range(1, net.vertex_count):
+                oracle = commute_time_by_grounded_solves(net, 0, b)
+                assert commute[0, b] == pytest.approx(oracle, rel=REL)
 
     def test_proportional_to_resistance_times_strength(self, corpus):
         for net in corpus[:40]:
@@ -282,10 +309,6 @@ class TestCommuteTimes:
 
     def test_unit_graphs_use_twice_edge_count(self):
         net = hypercube(3)
-        value = commute_time(net, 0, 1)
+        value = hitting_time_matrix(net).commute[0, 1]
         r = effective_resistance_matrix(net).resistance[0, 1]
         assert value == pytest.approx(2 * net.edge_count * r, rel=REL)
-
-    def test_degenerate_pair(self):
-        with pytest.raises(BadVertexId):
-            commute_time(complete(3), 1, 1)

@@ -159,6 +159,24 @@ class TestModuli:
             check_walk_regular(hypercube(3))
         assert check_walk_regular(cycle(6)).is_walk_regular
 
+    def test_residue_memory_is_refused_before_allocating(self, monkeypatch):
+        # hypercube(3): one prime, an 8 x 8 stack of 512 bytes.
+        monkeypatch.setattr(walk_regular, "MAX_RESIDUE_BYTES", 511)
+        net = hypercube(3)
+        with pytest.raises(BadParameter, match=r"n=8 needs 1 primes and 512 bytes"):
+            check_walk_regular(net)
+        assert "_laplacian" not in vars(net)
+        monkeypatch.setattr(walk_regular, "MAX_RESIDUE_BYTES", 512)
+        assert check_walk_regular(net).is_walk_regular
+
+    def test_default_memory_limit_admits_q7_and_refuses_cycle_2000(self):
+        def stack_bytes(degree, n):
+            return len(walk_regular._moduli(degree, n)) * n * n * 8
+
+        assert stack_bytes(7, 128) == 1.5 * 2**20
+        assert len(walk_regular._moduli(2, 2000)) == 63
+        assert stack_bytes(2, 2000) > walk_regular.MAX_RESIDUE_BYTES
+
     def test_irregular_graphs_never_reach_the_table(self, monkeypatch):
         monkeypatch.setattr(walk_regular, "_PRIMES", ())
         assert check_walk_regular(build_network(4, STAR_K13)).is_regular is False
