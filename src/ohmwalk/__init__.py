@@ -26,7 +26,6 @@ from .montecarlo import (
     ExcursionCountCheck,
     McEstimate,
     PendantIdentityCheck,
-    WalkSampler,
     estimate_hitting_time,
     estimate_return_time,
     excursion_count_check,
@@ -79,7 +78,6 @@ __all__ = [
     "WalkCountMismatch",
     "check_walk_regular",
     "McEstimate",
-    "WalkSampler",
     "PendantIdentityCheck",
     "ExcursionCountCheck",
     "estimate_return_time",

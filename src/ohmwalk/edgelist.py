@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadParameter, BadVertexId, ParseError
-from .network import Network, build_network
+from .network import Network
 
 __all__ = ["LabeledNetwork", "parse_edge_list", "format_edge_list"]
 
@@ -46,19 +46,9 @@ def parse_edge_list(text: str) -> LabeledNetwork:
         DisconnectedGraph: the document describes a disconnected graph.
     """
     header: int | None = None
-    ids: dict[str, int] = {}
-    labels: list[str] = []
+    ids: dict[str, int] = {}  # in order of first appearance
     seen_pairs: set[tuple[int, int]] = set()
     edges: list[tuple[int, int, float]] = []
-
-    def intern(label: str, line: int) -> int:
-        if label in ids:
-            return ids[label]
-        if header is not None and len(labels) >= header:
-            raise ParseError(line, f"label {label!r} exceeds declared vertex count {header}")
-        ids[label] = len(labels)
-        labels.append(label)
-        return ids[label]
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         record = raw.split("#", 1)[0].strip()
@@ -88,8 +78,12 @@ def parse_edge_list(text: str) -> LabeledNetwork:
                 raise ParseError(line_no, f"bad conductance {tokens[2]!r}") from None
             if not math.isfinite(conductance) or conductance <= 0.0:
                 raise ParseError(line_no, f"conductance must be positive and finite, got {tokens[2]}")
-        a = intern(label_a, line_no)
-        b = intern(label_b, line_no)
+        for label in (label_a, label_b):
+            if label not in ids:
+                if header is not None and len(ids) >= header:
+                    raise ParseError(line_no, f"label {label!r} exceeds declared vertex count {header}")
+                ids[label] = len(ids)
+        a, b = ids[label_a], ids[label_b]
         pair = (min(a, b), max(a, b))
         if pair in seen_pairs:
             raise ParseError(line_no, f"duplicate edge {label_a!r} {label_b!r}")
@@ -98,10 +92,10 @@ def parse_edge_list(text: str) -> LabeledNetwork:
 
     if not edges and header != 1:
         raise ParseError(1, "no edge records")
-    vertex_count = header if header is not None else len(labels)
-    network = build_network(vertex_count, edges)
-    labels.extend(str(i) for i in range(len(labels), vertex_count))
-    return LabeledNetwork(network=network, labels=tuple(labels))
+    vertex_count = header if header is not None else len(ids)
+    network = Network(vertex_count, tuple(edges))
+    labels = (*ids, *(str(i) for i in range(len(ids), vertex_count)))
+    return LabeledNetwork(network=network, labels=labels)
 
 
 def format_edge_list(net: Network, labels: tuple[str, ...] | None = None) -> str:

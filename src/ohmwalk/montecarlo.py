@@ -6,14 +6,17 @@ reproducible: walker ``i`` draws from a dedicated PCG64 substream derived
 from ``(seed, i)``, so results are bit-identical across runs and do not
 depend on how walkers might be scheduled.
 
-All estimators run one kernel, ``_walk``: from a start vertex it draws one
-uniform per step through :meth:`WalkSampler.step` until the walk reaches a
-stop vertex, and reports the step count and the number of visits to the
-start on the way. A return time is a walk stopped at its own start, a
-hitting time one stopped at the target, and the excursion count is the
-number of returns before a walk from the anchor reaches the pendant tip.
-Step cap: a walk that reaches its stop on step ``MAX_WALK_STEPS`` counts;
-one that needs more raises :class:`WalkLengthExceeded`.
+All estimators run one kernel, ``_sample``. It builds each vertex's
+neighbor list and running conductance sums once, then walks every walker
+from a start vertex until it reaches a stop vertex, drawing one uniform
+per step, and records the step count and the number of visits to the start
+on the way. Walker generators are created one at a time as the walk loop
+asks for them, so only the current walker's generator is alive. A return
+time is a walk stopped at its own start, a hitting time one stopped at the
+target, and the excursion count is the number of returns before a walk
+from the anchor reaches the pendant tip. Step cap: a walk that reaches its
+stop on step ``MAX_WALK_STEPS`` counts; one that needs more raises
+:class:`WalkLengthExceeded`.
 
 Verification convention: an estimate agrees with an exact value when
 ``|mean - exact| <= 3 * stderr`` (roughly a 0.3% false-failure budget per
@@ -27,6 +30,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Iterator
 
 import numpy as np
 
@@ -36,7 +40,6 @@ from .solver import return_time
 
 __all__ = [
     "McEstimate",
-    "WalkSampler",
     "PendantIdentityCheck",
     "ExcursionCountCheck",
     "estimate_return_time",
@@ -83,35 +86,6 @@ class ExcursionCountCheck:
     expected: float
 
 
-class WalkSampler:
-    """Steps the induced walk using per-vertex cumulative conductance tables.
-
-    From vertex ``y`` the walk moves to neighbor ``z`` with probability
-    ``C_yz / C_y``, realized by binary search of a uniform draw against the
-    running conductance sums.
-    """
-
-    def __init__(self, net: Network):
-        if net.vertex_count < 2:
-            raise BadParameter("random walk needs at least two vertices")
-        self._net = net
-        self._neighbors: list[list[int]] = []
-        self._cumulative: list[list[float]] = []
-        for v in range(net.vertex_count):
-            pairs = net.neighbors(v)
-            self._neighbors.append([w for w, _ in pairs])
-            self._cumulative.append(list(accumulate(c for _, c in pairs)))
-
-    def step(self, rng: np.random.Generator, v: int) -> int:
-        """Draw the next vertex of a walk currently at ``v``."""
-        cumulative = self._cumulative[v]
-        draw = rng.random() * cumulative[-1]
-        index = bisect_right(cumulative, draw)
-        if index == len(cumulative):  # guards the measure-zero rounding edge
-            index -= 1
-        return self._neighbors[v][index]
-
-
 def _require_samples_and_seed(samples: int, seed: int) -> None:
     if samples < 1:
         raise BadParameter(f"samples must be >= 1, got {samples}")
@@ -119,54 +93,65 @@ def _require_samples_and_seed(samples: int, seed: int) -> None:
         raise BadParameter(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
-def _walker_rngs(seed: int, samples: int) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(samples)
-    return [np.random.Generator(np.random.PCG64(child)) for child in children]
+def _walker_rngs(seed: int, samples: int) -> Iterator[np.random.Generator]:
+    for child in np.random.SeedSequence(seed).spawn(samples):
+        yield np.random.Generator(np.random.PCG64(child))
 
 
-def _summarize(values: list[int], samples: int, seed: int) -> McEstimate:
+def _summarize(values: list[int], seed: int) -> McEstimate:
+    samples = len(values)
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return McEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
 
 
-def _walk(sampler: WalkSampler, rng: np.random.Generator, start: int, stop: int) -> tuple[int, int]:
-    """Step from ``start`` until the walk is at ``stop``; returns the step
-    count and the number of visits to ``start`` after the first step.
+def _sample(net: Network, start: int, stop: int, samples: int, seed: int) -> tuple[list[int], list[int]]:
+    """Walk each seeded walker from ``start`` until it is at ``stop``.
+
+    From ``v`` a walk steps to the neighbor whose running conductance sum
+    is the first to exceed ``u * C_v``, ``u`` one uniform draw. Returns the
+    per-walker step counts and visits to ``start`` after the first step.
 
     Raises:
-        WalkLengthExceeded: the walk has not reached ``stop`` after
+        BadParameter: the network has fewer than two vertices.
+        WalkLengthExceeded: a walk has not reached ``stop`` after
             ``MAX_WALK_STEPS`` steps.
     """
-    v = start
-    steps = returns = 0
-    while True:
-        v = sampler.step(rng, v)
-        steps += 1
-        if v == stop:
-            return steps, returns
-        if steps >= MAX_WALK_STEPS:
-            raise WalkLengthExceeded(f"walk {start} -> {stop} exceeded {MAX_WALK_STEPS} steps")
-        if v == start:
-            returns += 1
-
-
-_STEPS, _RETURNS = 0, 1
-
-
-def _sample(net: Network, start: int, stop: int, samples: int, seed: int, field: int) -> McEstimate:
-    """Mean of one ``_walk`` result, ``_STEPS`` or ``_RETURNS``, over seeded walkers."""
-    sampler = WalkSampler(net)
-    values = [_walk(sampler, rng, start, stop)[field] for rng in _walker_rngs(seed, samples)]
-    return _summarize(values, samples, seed)
+    if net.vertex_count < 2:
+        raise BadParameter("random walk needs at least two vertices")
+    neighbors = [[w for w, _ in pairs] for pairs in net._adjacency]
+    cumulative = [list(accumulate(c for _, c in pairs)) for pairs in net._adjacency]
+    cap = MAX_WALK_STEPS
+    all_steps, all_returns = [], []
+    for rng in _walker_rngs(seed, samples):
+        draw = rng.random
+        v = start
+        steps = returns = 0
+        while True:
+            sums = cumulative[v]
+            index = bisect_right(sums, draw() * sums[-1])
+            if index == len(sums):  # guards the measure-zero rounding edge
+                index -= 1
+            v = neighbors[v][index]
+            steps += 1
+            if v == stop:
+                break
+            if steps >= cap:
+                raise WalkLengthExceeded(f"walk {start} -> {stop} exceeded {cap} steps")
+            if v == start:
+                returns += 1
+        all_steps.append(steps)
+        all_returns.append(returns)
+    return all_steps, all_returns
 
 
 def estimate_return_time(net: Network, z: int, samples: int, seed: int) -> McEstimate:
     """Mean steps for the walk started at ``z`` to first come back to ``z``."""
     net._require_vertex(z)
     _require_samples_and_seed(samples, seed)
-    return _sample(net, z, z, samples, seed, _STEPS)
+    steps, _ = _sample(net, z, z, samples, seed)
+    return _summarize(steps, seed)
 
 
 def estimate_hitting_time(net: Network, a: int, b: int, samples: int, seed: int) -> McEstimate:
@@ -176,7 +161,8 @@ def estimate_hitting_time(net: Network, a: int, b: int, samples: int, seed: int)
     if a == b:
         raise BadVertexId("hitting time needs two distinct vertices")
     _require_samples_and_seed(samples, seed)
-    return _sample(net, a, b, samples, seed, _STEPS)
+    steps, _ = _sample(net, a, b, samples, seed)
+    return _summarize(steps, seed)
 
 
 def verify_pendant_identities(net: Network, z: int, samples: int, seed: int) -> PendantIdentityCheck:
@@ -207,7 +193,8 @@ def excursion_count_check(net: Network, z: int, samples: int, seed: int) -> Excu
     net._require_vertex(z)
     _require_samples_and_seed(samples, seed)
     extended, tip = net.add_pendant_vertex(z, 1.0)
+    _, returns = _sample(extended, z, tip, samples, seed)
     return ExcursionCountCheck(
-        mean_excursions=_sample(extended, z, tip, samples, seed, _RETURNS),
+        mean_excursions=_summarize(returns, seed),
         expected=net.vertex_strength(z),
     )

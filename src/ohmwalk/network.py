@@ -63,8 +63,10 @@ class Network:
         edges: canonical edge tuple, each entry ``(a, b, conductance)`` with
             ``a < b``, sorted lexicographically. Treat as read-only.
 
-    Construction validates everything: vertex ids in range, no self-loops,
-    no duplicate pairs, conductances positive and finite, and connectivity.
+    Construction validates everything: integer vertex ids in range (any
+    ``operator.index`` type; floats such as ``1.0`` are refused), no
+    self-loops, no duplicate pairs, conductances positive and finite, and
+    connectivity.
     Prefer :func:`build_network` for building from raw edge lists.
     """
 
@@ -72,7 +74,10 @@ class Network:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        n = self.vertex_count
+        try:
+            n = operator.index(self.vertex_count)
+        except TypeError:
+            raise BadParameter(f"vertex_count must be an integer, got {self.vertex_count!r}") from None
         if n < 1:
             raise BadParameter(f"vertex_count must be positive, got {n}")
         canonical = []
@@ -82,11 +87,18 @@ class Network:
                 a, b, c = edge
             except (TypeError, ValueError):
                 raise InvalidEdge(f"expected (a, b, conductance) triple, got {edge!r}") from None
+            try:
+                a, b = operator.index(a), operator.index(b)
+            except TypeError:
+                raise BadVertexId(f"vertex ids must be integers, got ({a!r}, {b!r})") from None
             if not (0 <= a < n) or not (0 <= b < n):
                 raise BadVertexId(f"edge ({a}, {b}) references a vertex outside 0..{n - 1}")
             if a == b:
                 raise InvalidEdge(f"self-loop at vertex {a}")
-            c = float(c)
+            try:
+                c = float(c)
+            except (TypeError, ValueError):
+                raise InvalidEdge(f"edge ({a}, {b}) has non-numeric conductance {c!r}") from None
             if not math.isfinite(c) or c <= 0.0:
                 raise InvalidEdge(f"edge ({a}, {b}) has nonpositive or non-finite conductance {c}")
             if a > b:
@@ -96,6 +108,7 @@ class Network:
             seen.add((a, b))
             canonical.append((a, b, c))
         canonical.sort()
+        object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "edges", tuple(canonical))
         self._check_connected()
 
@@ -205,39 +218,33 @@ class Network:
 
     @cached_property
     def _bridges(self) -> frozenset[tuple[int, int]]:
-        """All cut-edges, found by an iterative depth-first low-link pass."""
-        n = self.vertex_count
-        pre = [-1] * n
-        low = [0] * n
+        """All cut-edges, found by one iterative depth-first low-link pass.
+
+        The network is connected, so the pass from vertex 0 reaches every edge.
+        """
+        pre = [-1] * self.vertex_count
+        low = [0] * self.vertex_count
+        pre[0] = 0
+        counter = 1
         bridges: set[tuple[int, int]] = set()
-        counter = 0
-        for root in range(n):
-            if pre[root] != -1:
-                continue
-            pre[root] = low[root] = counter
-            counter += 1
-            stack: list[tuple[int, int, Iterable[tuple[int, float]]]] = [
-                (root, -1, iter(self._adjacency[root]))
-            ]
-            while stack:
-                v, parent, it = stack[-1]
-                pushed = False
-                for w, _ in it:
-                    if pre[w] == -1:
-                        pre[w] = low[w] = counter
-                        counter += 1
-                        stack.append((w, v, iter(self._adjacency[w])))
-                        pushed = True
-                        break
-                    if w != parent:
-                        low[v] = min(low[v], pre[w])
-                if not pushed:
-                    stack.pop()
-                    if stack:
-                        p = stack[-1][0]
-                        low[p] = min(low[p], low[v])
-                        if low[v] > pre[p]:
-                            bridges.add((min(p, v), max(p, v)))
+        stack: list[tuple[int, int, Iterable[tuple[int, float]]]] = [(0, -1, iter(self._adjacency[0]))]
+        while stack:
+            v, parent, it = stack[-1]
+            for w, _ in it:
+                if pre[w] == -1:
+                    pre[w] = low[w] = counter
+                    counter += 1
+                    stack.append((w, v, iter(self._adjacency[w])))
+                    break
+                if w != parent:
+                    low[v] = min(low[v], pre[w])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[v])
+                    if low[v] > pre[p]:
+                        bridges.add((min(p, v), max(p, v)))
         return frozenset(bridges)
 
     def is_cut_edge(self, a: int, b: int) -> bool:
@@ -270,7 +277,7 @@ class Network:
         """
         z = self._require_vertex(z)
         new_id = self.vertex_count
-        extended = self.edges + ((z, new_id, float(conductance)),)
+        extended = self.edges + ((z, new_id, conductance),)
         return Network(self.vertex_count + 1, extended), new_id
 
 
@@ -289,18 +296,17 @@ def build_network(
         The validated network.
 
     Raises:
-        BadVertexId: an endpoint is out of range.
+        BadParameter: ``vertex_count`` is not a positive integer.
+        BadVertexId: an endpoint is not an integer or is out of range.
         InvalidEdge: self-loop, duplicate pair, or bad conductance.
         DisconnectedGraph: the edges do not connect all vertices.
     """
     triples = []
     for item in weighted_edges:
         if len(item) == 2:
-            a, b = item
-            triples.append((int(a), int(b), 1.0))
+            triples.append((*item, 1.0))
         elif len(item) == 3:
-            a, b, c = item
-            triples.append((int(a), int(b), float(c)))
+            triples.append(item)
         else:
             raise InvalidEdge(f"expected (a, b) or (a, b, conductance), got {tuple(item)!r}")
-    return Network(int(vertex_count), tuple(triples))
+    return Network(vertex_count, tuple(triples))

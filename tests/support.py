@@ -10,25 +10,26 @@ Laplacian at each end of the pair (the library reads every pair off one
 grounded inverse), the return-time oracle applies the first-step relation
 (the library uses the closed form ``C / C_z``), the walk-regularity
 oracle multiplies unbounded Python integers (the library compares residues
-modulo primes in float64), and the Monte Carlo oracles walk each estimator
-with its own hand-written loop and no step cap (the library runs one
-shared walk kernel).
+modulo primes in float64), and the Monte Carlo oracles own their sampler,
+``WalkSampler``, and walk each estimator with its own hand-written loop and
+no step cap (the library runs one walk kernel, ``montecarlo._sample``).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from ohmwalk import (
+    BadParameter,
     McEstimate,
     Network,
     WalkCountMismatch,
     WalkRegularityReport,
-    WalkSampler,
     build_network,
     hitting_time_matrix,
 )
@@ -260,6 +261,34 @@ def hitting_symmetry_defect(net: Network) -> float:
     hitting = hitting_time_matrix(net).hitting
     gap = np.abs(hitting - hitting.T) / np.maximum(1.0, hitting)
     return float(gap.max())
+
+
+class WalkSampler:
+    """Steps the induced walk using per-vertex cumulative conductance tables.
+
+    From vertex ``y`` the walk moves to neighbor ``z`` with probability
+    ``C_yz / C_y``, realized by binary search of a uniform draw against the
+    running conductance sums.
+    """
+
+    def __init__(self, net: Network):
+        if net.vertex_count < 2:
+            raise BadParameter("random walk needs at least two vertices")
+        self._neighbors: list[list[int]] = []
+        self._cumulative: list[list[float]] = []
+        for v in range(net.vertex_count):
+            pairs = net.neighbors(v)
+            self._neighbors.append([w for w, _ in pairs])
+            self._cumulative.append(list(accumulate(c for _, c in pairs)))
+
+    def step(self, rng: np.random.Generator, v: int) -> int:
+        """Draw the next vertex of a walk currently at ``v``."""
+        cumulative = self._cumulative[v]
+        draw = rng.random() * cumulative[-1]
+        index = bisect_right(cumulative, draw)
+        if index == len(cumulative):  # guards the measure-zero rounding edge
+            index -= 1
+        return self._neighbors[v][index]
 
 
 def _walker_generators(seed: int, samples: int) -> list[np.random.Generator]:

@@ -48,6 +48,19 @@ class TestParse:
         with pytest.raises(ParseError, match="exceeds declared vertex count"):
             parse_edge_list("2\na b\nb c\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\na b\nb c\n", "line 3: label 'c' exceeds declared vertex count 2"),
+            ("2\na b\nc a\n", "line 3: label 'c' exceeds declared vertex count 2"),
+            ("1\na b\n", "line 2: label 'b' exceeds declared vertex count 1"),
+        ],
+    )
+    def test_header_overflow_message(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            parse_edge_list(text)
+        assert str(caught.value) == message
+
     def test_header_larger_than_labels_means_isolated_vertices(self):
         with pytest.raises(DisconnectedGraph):
             parse_edge_list("4\na b\nb c\nc a\n")

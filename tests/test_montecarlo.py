@@ -6,7 +6,6 @@ from ohmwalk import (
     BadParameter,
     BadVertexId,
     WalkLengthExceeded,
-    WalkSampler,
     build_network,
     complete,
     cycle,
@@ -20,6 +19,7 @@ from ohmwalk import (
 )
 from support import (
     WEIGHTED_TRIANGLE,
+    WalkSampler,
     excursion_walks_by_loop,
     hitting_walks_by_loop,
     mc_estimate,
@@ -200,6 +200,10 @@ class TestGuards:
             estimate_return_time(k3(), 5, 10, 1)
         with pytest.raises(BadVertexId):
             estimate_hitting_time(k3(), 0, 0, 10, 1)
+
+    def test_single_vertex_has_no_walk(self):
+        with pytest.raises(BadParameter, match="at least two vertices"):
+            estimate_return_time(build_network(1, []), 0, 10, 1)
 
     def test_walk_cap_is_enforced(self, monkeypatch):
         monkeypatch.setattr(mc, "MAX_WALK_STEPS", 3)

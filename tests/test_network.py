@@ -71,6 +71,33 @@ class TestBuild:
         with pytest.raises(BadParameter):
             build_network(0, [])
 
+    @pytest.mark.parametrize("edges", [[(0, 1.7), (1, 2.2)], [(0.0, 1.0), (1, 2)]], ids=["fractional", "integral"])
+    def test_float_ids_are_refused_not_truncated(self, edges):
+        with pytest.raises(BadVertexId, match="must be integers"):
+            build_network(3, edges)
+
+    def test_fractional_vertex_count_is_refused(self):
+        with pytest.raises(BadParameter, match="must be an integer, got 2.5"):
+            build_network(2.5, [(0, 1)])
+
+    def test_network_refuses_a_fractional_id(self):
+        with pytest.raises(BadVertexId, match="must be integers"):
+            Network(3, ((0, 1.5, 1.0), (1, 2, 1.0)))
+
+    def test_network_refuses_a_non_numeric_conductance(self):
+        with pytest.raises(InvalidEdge, match="non-numeric conductance 'x'"):
+            Network(3, ((0, 1, "x"), (1, 2, 1.0)))
+
+    def test_network_refuses_a_fractional_vertex_count(self):
+        with pytest.raises(BadParameter, match="must be an integer, got 2.5"):
+            Network(2.5, ((0, 1, 1.0),))
+
+    def test_integer_types_are_stored_as_int_and_float(self):
+        net = Network(np.int64(3), ((np.int32(0), np.int64(1), 2), (1, np.uint8(2), np.float32(0.5))))
+        assert type(net.vertex_count) is int
+        assert net.edges == ((0, 1, 2.0), (1, 2, 0.5))
+        assert {type(x) for a, b, c in net.edges for x in (a, b, c)} == {int, float}
+
     def test_defaults_to_unit_conductance(self):
         net = build_network(2, [(0, 1)])
         assert net.conductance(0, 1) == 1.0
