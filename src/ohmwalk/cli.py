@@ -270,7 +270,7 @@ def run_cli(argv: Sequence[str]) -> int:
         if args.command == "gen":
             return _cmd_gen(args)
         return args.handler(args, parse_edge_list(_read_document(args.input)))
-    except (OhmwalkError, OSError) as exc:
+    except (OhmwalkError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

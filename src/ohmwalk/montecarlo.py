@@ -173,8 +173,6 @@ def verify_pendant_identities(net: Network, z: int, samples: int, seed: int) -> 
     to the two closed forms it must match: total strength plus one, and
     vertex strength times the return time plus one.
     """
-    net._require_vertex(z)
-    _require_samples_and_seed(samples, seed)
     extended, tip = net.add_pendant_vertex(z, 1.0)
     lhs = estimate_hitting_time(extended, z, tip, samples, seed)
     c_plus_1 = net.total_strength + 1.0
@@ -190,9 +188,8 @@ def excursion_count_check(net: Network, z: int, samples: int, seed: int) -> Excu
     graph that ends on the next visit to ``z``. The expected number of
     completed excursions is the vertex strength of ``z``.
     """
-    net._require_vertex(z)
-    _require_samples_and_seed(samples, seed)
     extended, tip = net.add_pendant_vertex(z, 1.0)
+    _require_samples_and_seed(samples, seed)
     _, returns = _sample(extended, z, tip, samples, seed)
     return ExcursionCountCheck(
         mean_excursions=_summarize(returns, seed),

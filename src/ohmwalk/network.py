@@ -35,20 +35,22 @@ __all__ = ["Network", "EdgeRef", "build_network"]
 
 @dataclass(frozen=True)
 class EdgeRef:
-    """An unordered vertex pair naming an edge; stored with ``a < b``."""
+    """An unordered vertex pair naming an edge; stored as Python ints with ``a < b``."""
 
     a: int
     b: int
 
     def __post_init__(self):
-        if self.a == self.b:
-            raise BadVertexId(f"edge endpoints must differ, got ({self.a}, {self.b})")
-        if self.a < 0 or self.b < 0:
-            raise BadVertexId(f"vertex ids must be nonnegative, got ({self.a}, {self.b})")
-        if self.a > self.b:
-            a, b = self.b, self.a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
+        try:
+            a, b = operator.index(self.a), operator.index(self.b)
+        except TypeError:
+            raise BadVertexId(f"vertex ids must be integers, got ({self.a!r}, {self.b!r})") from None
+        if a == b:
+            raise BadVertexId(f"edge endpoints must differ, got ({a}, {b})")
+        if a < 0 or b < 0:
+            raise BadVertexId(f"vertex ids must be nonnegative, got ({a}, {b})")
+        object.__setattr__(self, "a", min(a, b))
+        object.__setattr__(self, "b", max(a, b))
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.a, self.b)

@@ -6,11 +6,11 @@ factorisations are used on purpose, so that the suite's
 ``commute = C * R`` check compares two computations:
 
 * effective resistances and the Kirchhoff index come from the
-  pseudoinverse of the weighted Laplacian (eigendecomposition, one zero
-  mode);
-* hitting and commute times come from one solve of the Laplacian
-  grounded at a single vertex, whose inverse yields every hitting time at
-  once.
+  pseudoinverse ``P = M M^T`` of the weighted Laplacian, ``M`` its
+  eigenvectors scaled by ``1/sqrt(mu)`` (eigendecomposition, one zero mode);
+* hitting and commute times come from one solve of the Laplacian grounded
+  at a single vertex, bordered in place, whose inverse yields every hitting
+  time at once.
 
 Both read the Laplacian that the :class:`Network` builds once and caches.
 Return times need neither: they are the closed form ``C / C_z``.
@@ -74,8 +74,8 @@ def _require_multivertex(net: Network) -> None:
         raise BadParameter("network quantities need at least two vertices")
 
 
-def _split_zero_mode(eigenvalues: np.ndarray) -> np.ndarray:
-    """Boolean mask of nonzero eigenvalues; enforces exactly one zero mode.
+def _require_one_zero_mode(eigenvalues: np.ndarray) -> None:
+    """Require exactly one zero mode in an ascending Laplacian spectrum.
 
     Connectivity is certified by :class:`Network`, so a count other than one
     means float64 could not resolve the spectrum, never a disconnected graph.
@@ -83,38 +83,32 @@ def _split_zero_mode(eigenvalues: np.ndarray) -> np.ndarray:
     largest = float(eigenvalues[-1])
     if largest <= 0.0:
         raise NumericalFailure("Laplacian spectrum is not positive")
-    nonzero = eigenvalues > RANK_TOL * largest
-    zero_count = int(np.count_nonzero(~nonzero))
+    zero_count = int(np.count_nonzero(eigenvalues <= RANK_TOL * largest))
     if zero_count != 1:
         smallest = ", ".join(f"{v:.3g}" for v in eigenvalues[:3])
         raise NumericalFailure(
             f"Laplacian has {zero_count} eigenvalues below {RANK_TOL:g} x the largest "
             f"({largest:.3g}) instead of one zero mode; smallest: {smallest}"
         )
-    return nonzero
-
-
-def _pseudoinverse(net: Network) -> np.ndarray:
-    try:
-        eigenvalues, vectors = np.linalg.eigh(net._laplacian)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    nonzero = _split_zero_mode(eigenvalues)
-    inverted = np.zeros_like(eigenvalues)
-    inverted[nonzero] = 1.0 / eigenvalues[nonzero]
-    pinv = (vectors * inverted) @ vectors.T
-    return (pinv + pinv.T) / 2.0
 
 
 def effective_resistance_matrix(net: Network) -> ResistanceReport:
     """All pairwise effective resistances plus the Kirchhoff index.
 
-    Resistances come from the Laplacian pseudoinverse via
+    The pseudoinverse is ``P = M M^T``, exactly symmetric, with ``M`` the
+    eigenvectors of the nonzero eigenvalues ``mu`` (all but the first, in
+    ascending order) scaled by ``1/sqrt(mu)``. Resistances follow from
     ``R_ab = P_aa + P_bb - 2 P_ab``; the Kirchhoff index, the sum over
     unordered pairs, is half the sum of that symmetric matrix.
     """
     _require_multivertex(net)
-    pinv = _pseudoinverse(net)
+    try:
+        eigenvalues, vectors = np.linalg.eigh(net._laplacian)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
+    _require_one_zero_mode(eigenvalues)
+    scaled = vectors[:, 1:] / np.sqrt(eigenvalues[1:])
+    pinv = scaled @ scaled.T
     diag = np.diag(pinv)
     resistance = diag[:, None] + diag[None, :] - 2.0 * pinv
     np.fill_diagonal(resistance, 0.0)
@@ -133,16 +127,20 @@ def kirchhoff_index_from_spectrum(net: Network) -> float:
         eigenvalues = np.linalg.eigvalsh(net._laplacian)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigenvalue computation failed: {exc}") from exc
-    nonzero = _split_zero_mode(eigenvalues)
-    return float(net.vertex_count * np.sum(1.0 / eigenvalues[nonzero]))
+    _require_one_zero_mode(eigenvalues)
+    return float(net.vertex_count * np.sum(1.0 / eigenvalues[1:]))
 
 
 def hitting_time_matrix(net: Network) -> HittingReport:
     """Hitting and commute times from one grounded Laplacian solve.
 
-    ``G`` is the inverse of the Laplacian grounded at one vertex, padded
-    with a zero row and column there. With strengths ``s`` and total
-    strength ``C``, the expected steps from ``a`` to ``b`` are
+    ``G`` is the inverse of the Laplacian grounded at one vertex ``g``,
+    with a zero row and column there. It is the inverse of the bordered
+    Laplacian, row and column ``g`` zeroed and 1 on their diagonal, with
+    ``G_gg`` reset to 0: that matrix is block-diagonal, so LU pivots as on
+    the grounded Laplacian alone and row and column ``g`` come out ``e_g``.
+    With strengths ``s`` and total strength ``C``, the expected steps from
+    ``a`` to ``b`` are
     ``H[a, b] = (G s)_a - (G s)_b - C (G_ab - G_bb)`` (Tetali 1991): the
     column ``H[:, b]`` solves ``L h = s - C e_b`` with ``h_b = 0``.
     The grounded Laplacian is symmetric positive definite, since the network
@@ -155,14 +153,16 @@ def hitting_time_matrix(net: Network) -> HittingReport:
     # Ground at the strongest vertex: on random graphs with conductances
     # spread over six decades this kept hitting times within 3e-11 of an
     # 80-bit solve, where grounding at the weakest vertex lost up to 5e-6.
-    keep = np.arange(n) != np.argmax(strengths)
+    g = np.argmax(strengths)
+    bordered = lap.copy()
+    bordered[g, :] = 0.0
+    bordered[:, g] = 0.0
+    bordered[g, g] = 1.0
     try:
-        reduced = np.linalg.solve(lap[np.ix_(keep, keep)], np.eye(n - 1))
+        green = np.linalg.solve(bordered, np.eye(n))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"grounded Laplacian is singular: {exc}") from exc
-    # Padded after the solve, so that it can reuse the solve's freed buffers.
-    green = np.zeros((n, n))
-    green[np.ix_(keep, keep)] = reduced
+    green[g, g] = 0.0
     green += green.T
     green /= 2.0
     potential = green @ strengths
@@ -185,5 +185,4 @@ def return_time(net: Network, z: int) -> float:
     times of :func:`hitting_time_matrix`.
     """
     _require_multivertex(net)
-    net._require_vertex(z)
     return net.total_strength / net.vertex_strength(z)

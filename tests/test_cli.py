@@ -235,6 +235,14 @@ class TestErrorChannel:
         assert code == 2
         assert "error" in err
 
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.edges"
+        path.write_bytes(b"\xff b\nb c\n")
+        code, out, err = run(capsys, "kirchhoff", "-i", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_malformed_document(self, capsys, monkeypatch):
         feed_stdin(monkeypatch, "a a\n")
         code, _, err = run(capsys, "kirchhoff")

@@ -201,6 +201,19 @@ class TestGuards:
         with pytest.raises(BadVertexId):
             estimate_hitting_time(k3(), 0, 0, 10, 1)
 
+    @pytest.mark.parametrize("estimator", [estimate_return_time, verify_pendant_identities, excursion_count_check])
+    @pytest.mark.parametrize(("vertex", "message"), [(5, "outside 0..2"), (1.5, "must be an integer")])
+    def test_vertex_is_checked_before_samples_and_seed(self, estimator, vertex, message):
+        with pytest.raises(BadVertexId, match=message):
+            estimator(k3(), vertex, 0, -1)
+
+    @pytest.mark.parametrize("estimator", [verify_pendant_identities, excursion_count_check])
+    def test_pendant_checks_samples_then_seed(self, estimator):
+        with pytest.raises(BadParameter, match="samples"):
+            estimator(k3(), 0, 0, -1)
+        with pytest.raises(BadParameter, match="seed"):
+            estimator(k3(), 0, 10, 2**64)
+
     def test_single_vertex_has_no_walk(self):
         with pytest.raises(BadParameter, match="at least two vertices"):
             estimate_return_time(build_network(1, []), 0, 10, 1)

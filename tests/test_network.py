@@ -260,6 +260,19 @@ class TestEdgeRef:
         with pytest.raises(BadVertexId):
             EdgeRef(-1, 2)
 
+    def test_rejects_fractional_id(self):
+        with pytest.raises(BadVertexId, match="integers"):
+            EdgeRef(1.5, 0)
+
+    def test_rejects_string_ids(self):
+        with pytest.raises(BadVertexId, match="integers"):
+            EdgeRef("b", "a")
+
+    def test_stores_python_ints(self):
+        edge = EdgeRef(np.int64(3), np.int32(1))
+        assert edge.as_tuple() == (1, 3)
+        assert type(edge.a) is int and type(edge.b) is int
+
 
 def test_numpy_integer_vertex_ids_accepted():
     net = triangle()

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -117,6 +119,11 @@ class TestAnalyzeEdgeRemoval:
         assert report.hitting_after_predicted == pytest.approx(15.4, rel=REL)
         assert report.hitting_after_direct == pytest.approx(15.4, rel=REL)
         assert report.kirchhoff_after >= report.kirchhoff_before
+
+    def test_numpy_ids_give_a_json_ready_report(self):
+        report = analyze_edge_removal(hypercube(3), np.int64(0), np.int64(1))
+        document = json.loads(json.dumps(asdict(report)))
+        assert document["edge"] == {"a": 0, "b": 1}
 
     def test_cycle8(self):
         report = analyze_edge_removal(cycle(8), 2, 3)

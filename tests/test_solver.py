@@ -143,6 +143,13 @@ class TestEffectiveResistance:
             for a, b, _ in net.edges:
                 assert r[a, b] == pytest.approx(expected, rel=REL)
 
+    def test_exactly_symmetric_at_blocked_sizes(self):
+        # Big enough that BLAS splits ``M M^T`` into blocks.
+        wide = wide_range_network(np.random.default_rng(150), n_min=150, n_max=150)
+        for net in (hypercube(7), wide):
+            r = effective_resistance_matrix(net).resistance
+            assert np.array_equal(r, r.T)
+
     def test_kirchhoff_pair_sum_matches_spectrum(self, corpus):
         for net in corpus[:40]:
             pair_sum = effective_resistance_matrix(net).kirchhoff_index
@@ -195,6 +202,30 @@ class TestHittingTimes:
                 for v in range(net.vertex_count):
                     assert report.hitting[v, target] == pytest.approx(float(exact[v]), rel=1e-12)
 
+    @pytest.mark.parametrize("strongest", [0, 2, 4])
+    def test_ground_first_middle_or_last(self, strongest, monkeypatch):
+        # A weighted 5-cycle plus heavy chords from ``strongest``, which
+        # becomes the ground: its bordered row and column sit first, in the
+        # middle or last.
+        edges = [(0, 1, 1.5), (1, 2, 0.5), (2, 3, 1.25), (3, 4, 0.75), (0, 4, 2.0)]
+        edges += [(strongest, v, 4.0) for v in range(5) if v != strongest and abs(v - strongest) not in (1, 4)]
+        net = build_network(5, edges)
+        assert np.argmax([net.vertex_strength(v) for v in range(5)]) == strongest
+        solved = []
+        solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            solved.append(a.copy())
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        report = hitting_time_matrix(net)
+        ground = np.eye(5)[strongest]
+        assert np.array_equal(solved[0][strongest], ground) and np.array_equal(solved[0][:, strongest], ground)
+        for target in range(5):
+            exact = np.array([float(x) for x in hitting_times_by_fractions(net, target)])
+            assert np.allclose(report.hitting[:, target], exact, rtol=REL, atol=0.0)
+
     def test_matches_pseudoinverse_route(self, corpus):
         # The per-target first-step solves of the oracle, on every corpus graph.
         for net in corpus:
@@ -224,7 +255,7 @@ class TestHittingTimes:
             calls.clear()
             hitting_time_matrix(net)
             n = net.vertex_count
-            assert calls == [(n - 1, n - 1)]
+            assert calls == [(n, n)]
 
     def test_weak_bridge_is_finite(self):
         net = weak_bridge()
