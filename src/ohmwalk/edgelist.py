@@ -108,9 +108,13 @@ def format_edge_list(net: Network, labels: tuple[str, ...] | None = None) -> str
         labels = tuple(str(i) for i in range(net.vertex_count))
     if len(labels) != net.vertex_count:
         raise BadParameter(f"need {net.vertex_count} labels, got {len(labels)}")
+    seen: set[str] = set()
     for label in labels:
         if not label or label.split() != [label] or "#" in label:
             raise BadParameter(f"label {label!r} is not a plain token")
+        if label in seen:
+            raise BadParameter(f"label {label!r} is repeated; labels must be distinct")
+        seen.add(label)
     lines = [str(net.vertex_count)]
     for a, b, c in net.edges:
         if c == 1.0:

@@ -2,6 +2,21 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "OhmwalkError",
+    "BadParameter",
+    "BadVertexId",
+    "InvalidEdge",
+    "DisconnectedGraph",
+    "NoSuchEdge",
+    "WouldDisconnect",
+    "CutEdgeResistance",
+    "NonUnitConductance",
+    "NumericalFailure",
+    "WalkLengthExceeded",
+    "ParseError",
+]
+
 
 class OhmwalkError(Exception):
     """Base class for all errors raised by this package."""

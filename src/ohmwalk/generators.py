@@ -10,7 +10,7 @@ import math
 from .errors import BadParameter
 from .network import Network, build_network
 
-__all__ = ["cycle", "complete", "hypercube", "unitary_cayley", "petersen", "totient"]
+__all__ = ["cycle", "complete", "hypercube", "unitary_cayley", "petersen"]
 
 
 def cycle(n: int) -> Network:
@@ -40,8 +40,8 @@ def hypercube(d: int) -> Network:
 def unitary_cayley(n: int) -> Network:
     """Circulant graph on ``Z_n`` joining x and y iff gcd(x - y, n) = 1.
 
-    The result is totient(n)-regular and always contains the n-cycle
-    through consecutive residues, hence connected.
+    Each vertex has degree phi(n), the count of units mod n. The graph always
+    contains the n-cycle through consecutive residues, hence is connected.
     """
     if n < 3:
         raise BadParameter(f"unitary_cayley needs n >= 3, got {n}")
@@ -56,20 +56,3 @@ def petersen() -> Network:
     spokes = [(i, i + 5) for i in range(5)]
     return build_network(10, outer + inner + spokes)
 
-
-def totient(n: int) -> int:
-    """Euler's totient by trial-division factorization."""
-    if n < 1:
-        raise BadParameter(f"totient needs n >= 1, got {n}")
-    result = n
-    remaining = n
-    p = 2
-    while p * p <= remaining:
-        if remaining % p == 0:
-            while remaining % p == 0:
-                remaining //= p
-            result -= result // p
-        p += 1
-    if remaining > 1:
-        result -= result // remaining
-    return result

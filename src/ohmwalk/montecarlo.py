@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BadParameter, BadVertexId, WalkLengthExceeded
-from .network import Network
+from .network import Network, _require_integer
 from .solver import return_time
 
 __all__ = [
@@ -86,11 +86,15 @@ class ExcursionCountCheck:
     expected: float
 
 
-def _require_samples_and_seed(samples: int, seed: int) -> None:
+def _require_samples_and_seed(samples: int, seed: int) -> tuple[int, int]:
+    """Both values as Python ints, so an estimate's ``seed`` serialises to JSON."""
+    samples = _require_integer(samples, "samples")
     if samples < 1:
         raise BadParameter(f"samples must be >= 1, got {samples}")
+    seed = _require_integer(seed, "seed")
     if not 0 <= seed < 2**64:
         raise BadParameter(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return samples, seed
 
 
 def _walker_rngs(seed: int, samples: int) -> Iterator[np.random.Generator]:
@@ -149,7 +153,7 @@ def _sample(net: Network, start: int, stop: int, samples: int, seed: int) -> tup
 def estimate_return_time(net: Network, z: int, samples: int, seed: int) -> McEstimate:
     """Mean steps for the walk started at ``z`` to first come back to ``z``."""
     net._require_vertex(z)
-    _require_samples_and_seed(samples, seed)
+    samples, seed = _require_samples_and_seed(samples, seed)
     steps, _ = _sample(net, z, z, samples, seed)
     return _summarize(steps, seed)
 
@@ -160,7 +164,7 @@ def estimate_hitting_time(net: Network, a: int, b: int, samples: int, seed: int)
     net._require_vertex(b)
     if a == b:
         raise BadVertexId("hitting time needs two distinct vertices")
-    _require_samples_and_seed(samples, seed)
+    samples, seed = _require_samples_and_seed(samples, seed)
     steps, _ = _sample(net, a, b, samples, seed)
     return _summarize(steps, seed)
 
@@ -189,7 +193,7 @@ def excursion_count_check(net: Network, z: int, samples: int, seed: int) -> Excu
     completed excursions is the vertex strength of ``z``.
     """
     extended, tip = net.add_pendant_vertex(z, 1.0)
-    _require_samples_and_seed(samples, seed)
+    samples, seed = _require_samples_and_seed(samples, seed)
     _, returns = _sample(extended, z, tip, samples, seed)
     return ExcursionCountCheck(
         mean_excursions=_summarize(returns, seed),

@@ -33,6 +33,14 @@ from .errors import (
 __all__ = ["Network", "EdgeRef", "build_network"]
 
 
+def _require_integer(value, name: str) -> int:
+    """``value`` as a Python int (any ``operator.index`` type), else :class:`BadParameter`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParameter(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class EdgeRef:
     """An unordered vertex pair naming an edge; stored as Python ints with ``a < b``."""
@@ -76,10 +84,7 @@ class Network:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.vertex_count)
-        except TypeError:
-            raise BadParameter(f"vertex_count must be an integer, got {self.vertex_count!r}") from None
+        n = _require_integer(self.vertex_count, "vertex_count")
         if n < 1:
             raise BadParameter(f"vertex_count must be positive, got {n}")
         canonical = []

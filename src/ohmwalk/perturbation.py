@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadParameter, CutEdgeResistance, NonUnitConductance, NoSuchEdge
-from .network import EdgeRef, Network
+from .network import EdgeRef, Network, _require_integer
 from .solver import effective_resistance_matrix, hitting_time_matrix
 from .walk_regular import check_walk_regular
 
@@ -85,6 +85,7 @@ def extremal_increment_bounds(n: int) -> tuple[float, float]:
     The maximum ``(n-1)^2 / n`` is attained by the n-cycle, the minimum
     ``4 / (n (n-2))`` by the complete graph.
     """
+    n = _require_integer(n, "n")
     if n < 3:
         raise BadParameter(f"bounds need n >= 3, got {n}")
     return ((n - 1) ** 2 / n, 4.0 / (n * (n - 2)))
@@ -97,6 +98,7 @@ def removed_edge_hitting_time(edge_count: int, r_ab: float) -> float:
     The caller is responsible for the walk-regularity hypothesis;
     :func:`analyze_edge_removal` enforces it via the certificate.
     """
+    edge_count = _require_integer(edge_count, "edge_count")
     if edge_count < 1:
         raise BadParameter(f"edge_count must be positive, got {edge_count}")
     _require_formula_range(r_ab)

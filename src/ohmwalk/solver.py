@@ -30,7 +30,6 @@ __all__ = [
     "ResistanceReport",
     "HittingReport",
     "effective_resistance_matrix",
-    "kirchhoff_index_from_spectrum",
     "hitting_time_matrix",
     "return_time",
 ]
@@ -74,24 +73,6 @@ def _require_multivertex(net: Network) -> None:
         raise BadParameter("network quantities need at least two vertices")
 
 
-def _require_one_zero_mode(eigenvalues: np.ndarray) -> None:
-    """Require exactly one zero mode in an ascending Laplacian spectrum.
-
-    Connectivity is certified by :class:`Network`, so a count other than one
-    means float64 could not resolve the spectrum, never a disconnected graph.
-    """
-    largest = float(eigenvalues[-1])
-    if largest <= 0.0:
-        raise NumericalFailure("Laplacian spectrum is not positive")
-    zero_count = int(np.count_nonzero(eigenvalues <= RANK_TOL * largest))
-    if zero_count != 1:
-        smallest = ", ".join(f"{v:.3g}" for v in eigenvalues[:3])
-        raise NumericalFailure(
-            f"Laplacian has {zero_count} eigenvalues below {RANK_TOL:g} x the largest "
-            f"({largest:.3g}) instead of one zero mode; smallest: {smallest}"
-        )
-
-
 def effective_resistance_matrix(net: Network) -> ResistanceReport:
     """All pairwise effective resistances plus the Kirchhoff index.
 
@@ -106,7 +87,19 @@ def effective_resistance_matrix(net: Network) -> ResistanceReport:
         eigenvalues, vectors = np.linalg.eigh(net._laplacian)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    _require_one_zero_mode(eigenvalues)
+    # Connectivity is certified by Network, so a count of zero modes other
+    # than one means float64 could not resolve the spectrum, never a
+    # disconnected graph.
+    largest = float(eigenvalues[-1])
+    if largest <= 0.0:
+        raise NumericalFailure("Laplacian spectrum is not positive")
+    zero_count = int(np.count_nonzero(eigenvalues <= RANK_TOL * largest))
+    if zero_count != 1:
+        smallest = ", ".join(f"{v:.3g}" for v in eigenvalues[:3])
+        raise NumericalFailure(
+            f"Laplacian has {zero_count} eigenvalues below {RANK_TOL:g} x the largest "
+            f"({largest:.3g}) instead of one zero mode; smallest: {smallest}"
+        )
     scaled = vectors[:, 1:] / np.sqrt(eigenvalues[1:])
     pinv = scaled @ scaled.T
     diag = np.diag(pinv)
@@ -115,20 +108,6 @@ def effective_resistance_matrix(net: Network) -> ResistanceReport:
     kirchhoff = float(resistance.sum() / 2.0)
     resistance.setflags(write=False)
     return ResistanceReport(resistance=resistance, kirchhoff_index=kirchhoff)
-
-
-def kirchhoff_index_from_spectrum(net: Network) -> float:
-    """Kirchhoff index as ``n * sum(1 / mu)`` over nonzero Laplacian eigenvalues.
-
-    Independent of the pairwise-resistance route; used as a cross-check.
-    """
-    _require_multivertex(net)
-    try:
-        eigenvalues = np.linalg.eigvalsh(net._laplacian)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigenvalue computation failed: {exc}") from exc
-    _require_one_zero_mode(eigenvalues)
-    return float(net.vertex_count * np.sum(1.0 / eigenvalues[1:]))
 
 
 def hitting_time_matrix(net: Network) -> HittingReport:

@@ -8,7 +8,10 @@ oracle solves one first-step system per target (the library inverts the
 grounded Laplacian once), the commute-time oracle grounds the edge-loop
 Laplacian at each end of the pair (the library reads every pair off one
 grounded inverse), the return-time oracle applies the first-step relation
-(the library uses the closed form ``C / C_z``), the walk-regularity
+(the library uses the closed form ``C / C_z``), the Kirchhoff-index oracle
+sums ``n / mu`` over the edge-loop Laplacian's spectrum (the library sums
+the resistance matrix), Euler's totient comes from trial division (the
+library's ``unitary_cayley`` joins residues by ``gcd``), the walk-regularity
 oracle multiplies unbounded Python integers (the library compares residues
 modulo primes in float64), and the Monte Carlo oracles own their sampler,
 ``WalkSampler``, and walk each estimator with its own hand-written loop and
@@ -145,6 +148,28 @@ def laplacian_by_edge_loop(net: Network) -> np.ndarray:
         lap[a, a] += c
         lap[b, b] += c
     return lap
+
+
+def kirchhoff_index_by_spectrum(net: Network) -> float:
+    """Kirchhoff index as ``n * sum(1 / mu)`` over the nonzero eigenvalues of the edge-loop Laplacian."""
+    eigenvalues = np.linalg.eigvalsh(laplacian_by_edge_loop(net))
+    return float(net.vertex_count * np.sum(1.0 / eigenvalues[1:]))
+
+
+def totient(n: int) -> int:
+    """Euler's totient by trial-division factorization."""
+    result = n
+    remaining = n
+    p = 2
+    while p * p <= remaining:
+        if remaining % p == 0:
+            while remaining % p == 0:
+                remaining //= p
+            result -= result // p
+        p += 1
+    if remaining > 1:
+        result -= result // remaining
+    return result
 
 
 def _steps_to_by_grounded_solve(lap: np.ndarray, target: int) -> np.ndarray:

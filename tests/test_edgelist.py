@@ -7,6 +7,7 @@ from ohmwalk import (
     DisconnectedGraph,
     ParseError,
     build_network,
+    cycle,
     format_edge_list,
     hypercube,
     parse_edge_list,
@@ -116,6 +117,11 @@ class TestFormat:
     def test_labels_must_be_plain_tokens(self):
         with pytest.raises(BadParameter):
             format_edge_list(build_network(2, [(0, 1)]), labels=("a b", "c"))
+
+    def test_labels_must_be_distinct(self):
+        # A repeated label would re-parse as a self-loop or a merged vertex.
+        with pytest.raises(BadParameter, match="label 'a' is repeated"):
+            format_edge_list(cycle(3), ("a", "a", "b"))
 
 
 class TestRoundTrip:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ohmwalk import BadParameter, complete, cycle, hypercube, petersen, totient, unitary_cayley
+from ohmwalk import BadParameter, complete, cycle, hypercube, petersen, unitary_cayley
+from support import totient
 
 
 class TestCycle:
@@ -117,7 +118,3 @@ class TestTotient:
     def test_matches_gcd_count(self, n):
         brute = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
         assert totient(n) == brute
-
-    def test_bad_parameter(self):
-        with pytest.raises(BadParameter):
-            totient(0)

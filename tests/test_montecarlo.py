@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -213,6 +216,20 @@ class TestGuards:
             estimator(k3(), 0, 0, -1)
         with pytest.raises(BadParameter, match="seed"):
             estimator(k3(), 0, 10, 2**64)
+
+    def test_fractional_samples(self):
+        with pytest.raises(BadParameter, match="samples must be an integer, got 2.5"):
+            estimate_return_time(cycle(4), 0, 2.5, 1)
+
+    def test_fractional_seed(self):
+        with pytest.raises(BadParameter, match="seed must be an integer, got 1.5"):
+            estimate_return_time(cycle(4), 0, 10, 1.5)
+
+    def test_numpy_seed_gives_a_json_ready_estimate(self):
+        est = estimate_return_time(cycle(4), 0, np.int64(50), np.int64(3))
+        assert type(est.seed) is int and type(est.samples) is int
+        assert json.loads(json.dumps(asdict(est)))["seed"] == 3
+        assert est == estimate_return_time(cycle(4), 0, 50, 3)
 
     def test_single_vertex_has_no_walk(self):
         with pytest.raises(BadParameter, match="at least two vertices"):

@@ -106,6 +106,18 @@ class TestRemovedEdgeHitting:
             removed_edge_hitting_time(5, 1.0)
 
 
+def test_fractional_counts_are_refused():
+    with pytest.raises(BadParameter, match="edge_count must be an integer, got 2.5"):
+        removed_edge_hitting_time(2.5, 0.5)
+    with pytest.raises(BadParameter, match="n must be an integer, got 5.5"):
+        extremal_increment_bounds(5.5)
+
+
+def test_numpy_counts_are_accepted():
+    assert removed_edge_hitting_time(np.int64(12), 7 / 12) == removed_edge_hitting_time(12, 7 / 12)
+    assert extremal_increment_bounds(np.int64(5)) == extremal_increment_bounds(5)
+
+
 class TestAnalyzeEdgeRemoval:
     def test_hypercube_report(self):
         report = analyze_edge_removal(hypercube(3), 0, 1)

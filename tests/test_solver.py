@@ -12,7 +12,6 @@ from ohmwalk import (
     effective_resistance_matrix,
     hitting_time_matrix,
     hypercube,
-    kirchhoff_index_from_spectrum,
     petersen,
     return_time,
     unitary_cayley,
@@ -22,6 +21,7 @@ from support import (
     commute_time_by_grounded_solves,
     hitting_times_by_fractions,
     hitting_times_by_target_solves,
+    kirchhoff_index_by_spectrum,
     laplacian_by_edge_loop,
     random_corpus,
     return_times_by_first_step,
@@ -63,8 +63,7 @@ def test_laplacian_matches_edge_loop(corpus):
 
 
 def test_laplacian_is_built_once_and_read_only():
-    consumers = (effective_resistance_matrix, kirchhoff_index_from_spectrum,
-                 hitting_time_matrix, check_walk_regular)
+    consumers = (effective_resistance_matrix, hitting_time_matrix, check_walk_regular)
     for consumer in consumers:
         fresh = hypercube(3)
         consumer(fresh)
@@ -153,14 +152,14 @@ class TestEffectiveResistance:
     def test_kirchhoff_pair_sum_matches_spectrum(self, corpus):
         for net in corpus[:40]:
             pair_sum = effective_resistance_matrix(net).kirchhoff_index
-            spectral = kirchhoff_index_from_spectrum(net)
+            spectral = kirchhoff_index_by_spectrum(net)
             assert pair_sum == pytest.approx(spectral, rel=REL)
 
     def test_rejects_singleton(self):
         with pytest.raises(BadParameter):
             effective_resistance_matrix(build_network(1, []))
 
-    @pytest.mark.parametrize("route", [effective_resistance_matrix, kirchhoff_index_from_spectrum])
+    @pytest.mark.parametrize("route", [effective_resistance_matrix])
     def test_weak_bridge_is_numerical_failure_not_disconnected(self, route):
         with pytest.raises(NumericalFailure, match=r"2 eigenvalues .*smallest: "):
             route(weak_bridge())
