@@ -115,6 +115,12 @@ def format_edge_list(net: Network, labels: tuple[str, ...] | None = None) -> str
         if label in seen:
             raise BadParameter(f"label {label!r} is repeated; labels must be distinct")
         seen.add(label)
+    if not net.edges and labels != ("0",):
+        # The document is the bare header, which parses back with label "0".
+        raise BadParameter(
+            f"label {labels[0]!r} of an edgeless one-vertex network cannot be written; "
+            f"the edge-list format only carries labels on edge records"
+        )
     lines = [str(net.vertex_count)]
     for a, b, c in net.edges:
         if c == 1.0:

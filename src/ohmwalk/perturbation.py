@@ -11,6 +11,7 @@ compare predicted against recomputed values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,6 +60,8 @@ class PerturbationReport:
 
 
 def _require_formula_range(r_ab: float) -> None:
+    if not math.isfinite(r_ab):
+        raise BadParameter(f"edge resistance must be finite, got {r_ab}")
     if not 0.0 < r_ab:
         raise BadParameter(f"edge resistance must be positive, got {r_ab}")
     if r_ab >= 1.0 - CUT_EDGE_EPS:

@@ -2,17 +2,34 @@
 
 A graph is walk-regular when, for every length ``k >= 2``, all vertices
 carry the same number of closed walks of length ``k`` (the diagonal of the
-k-th adjacency power is constant). Checking ``k`` up to ``n - 1`` suffices:
-every higher power of the adjacency matrix is a linear combination of the
-powers below ``n``, so constant diagonals there force constancy for all k.
+k-th adjacency power is constant). Checking ``k`` below the degree ``t`` of
+a monic polynomial ``p`` with ``p(A) = 0`` suffices: every higher power of
+the adjacency matrix is then an integer combination of ``I, A, ..., A^(t-1)``,
+so constant diagonals there force constancy for all k. The minimal
+polynomial of the symmetric 0/1 matrix ``A`` is ``prod(x - theta)`` over its
+``t`` distinct eigenvalues and has integer coefficients ``c_0..c_(t-1), 1``,
+so ``t`` can be far below ``n``: 7 on the hypercube ``Q_6``, 2 on a complete
+graph. The Cayley-Hamilton polynomial always gives ``t = n``.
+
+The certificate reads a candidate ``p`` off the float spectrum, rounds its
+coefficients, scans ``k < t``, and then proves ``p(A) = 0`` exactly by
+Horner's rule. A mismatch the scan finds is exact and is the first one at
+any length, so it needs no proof. When the candidate is not near-integer,
+the proof fails, or the short route would not save matrix products over the
+plain scan of every ``k < n``, that plain scan decides instead. No float
+tolerance enters the verdict: a wrong candidate only costs time.
 
 The counts grow like ``d^k`` on a d-regular graph, so they are compared
 modulo a set of primes instead of as integers, and the comparison stays
 exact by the Chinese remainder theorem. A closed-walk count of length
-``k <= n - 1`` lies in ``[0, d^(n-1)]``, so two counts differ by at most
-``d^(n-1)``. Once the product of the primes exceeds that bound, counts that
-agree modulo every prime are equal, and counts that differ modulo any prime
-differ: verdict and witness are the exact ones.
+``k < t`` lies in ``[0, d^(t-1)]``, and every entry of ``p(A)`` has
+magnitude at most ``sum |c_i| d^i``. Once the product of the primes exceeds
+``max(d^(t-1), sum |c_i| d^i)``, counts that agree modulo every prime are
+equal, counts that differ modulo any prime differ, and ``p(A)`` vanishing
+modulo every prime vanishes: verdict and witness are the exact ones. The
+plain scan needs primes past ``d^(n-1)``; the memory and table limits below
+are checked against that bound up front, and the short route takes a prefix
+of the same primes.
 
 Residues are carried in float64 so that every power step is one BLAS
 matrix product over the stack of primes. An entry of ``power @ A`` sums at
@@ -20,7 +37,8 @@ most ``d`` entries of ``power``, because ``A`` is a 0/1 matrix with ``d``
 ones per row, so the product is exact while ``d`` times the largest entry
 stays below ``2^53``. The stack is reduced modulo its primes whenever the
 next product could pass that bound; a prime ``p`` is usable only while
-``d * p < 2^53``.
+``d * p < 2^53``. Horner's rule adds ``c_i mod p`` to the diagonal after each
+product, which needs ``(d + 1) * p < 2^53`` of its primes.
 """
 
 from __future__ import annotations
@@ -86,9 +104,18 @@ _PRIMES = (
 _EXACT_LIMIT = 2**53
 
 # Largest residue stack, ``primes * n * n`` float64 values, that the certificate
-# will allocate; each power step allocates one more of the same size. The
-# largest graph of the test suite and the benchmark, Q_7, needs 1.5 MiB.
+# will allocate; each power step allocates one more of the same size. It is
+# checked for the primes of the plain scan, of which the short route uses a
+# prefix. The largest graph of the benchmark, Q_7, needs 1.5 MiB, and of the
+# test suite, Q_8, 12 MiB.
 MAX_RESIDUE_BYTES = 256 * 2**20
+
+# Eigenvalues of the adjacency closer than this are taken as one root of the
+# candidate polynomial, whose float coefficients must lie this close to
+# integers below the limit. A wrong guess only costs the fallback scan.
+_ROOT_GAP = 1e-6
+_INTEGER_TOL = 1e-6
+_COEFFICIENT_LIMIT = 2**50
 
 
 def _moduli(degree: int, n: int) -> tuple[int, ...]:
@@ -119,6 +146,112 @@ def _moduli(degree: int, n: int) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+def _scan(adjacency: np.ndarray, degree: int, primes: tuple[int, ...],
+          stop: int) -> Optional[WalkCountMismatch]:
+    """First ``(k, 0, y)`` whose closed-walk counts differ, for ``2 <= k < stop``.
+
+    Exact while the product of ``primes`` exceeds ``degree^(stop-1)``.
+    """
+    n = len(adjacency)
+    moduli = np.array(primes, dtype=np.float64)[:, None]
+    power = np.repeat(adjacency[None], len(primes), axis=0)
+    largest = 1  # bound on every entry of ``power``
+    for k in range(2, stop):
+        if degree * largest >= _EXACT_LIMIT:
+            np.fmod(power, moduli[:, :, None], out=power)
+            largest = max(primes) - 1
+        power = (power.reshape(-1, n) @ adjacency).reshape(power.shape)
+        largest *= degree
+        diagonal = np.fmod(power.diagonal(axis1=1, axis2=2), moduli)
+        differs = (diagonal != diagonal[:, :1]).any(axis=0)
+        if differs.any():
+            return WalkCountMismatch(k=k, x=0, y=int(differs.argmax()))
+    return None
+
+
+def _short_route(adjacency: np.ndarray, degree: int,
+                 primes: tuple[int, ...]) -> Optional[tuple[list[int], tuple[int, ...]]]:
+    """A candidate annihilating polynomial and the primes to check it with.
+
+    The candidate is ``prod(x - theta)`` over the distinct eigenvalues of the
+    float spectrum, with its coefficients ``c_0..c_(t-1), 1`` rounded to
+    integers; it is only a guess, which the caller proves. Its primes are
+    leading ones of the plain scan's ``primes``. None when the coefficients
+    are not near-integers below ``2^50``, those primes hold no usable prefix
+    whose product exceeds ``max(d^(t-1), sum |c_i| d^i)``, or the route's
+    ``2(t-1)`` products on that stack would not undercut the plain scan's
+    ``n - 2`` on its own.
+    """
+    n = len(adjacency)
+    full_cost = (n - 2) * len(primes)
+    # t exceeds the diameter, which is at least the Moore bound's: a vertex
+    # reaches at most d (d-1)^(i-1) others at distance i. On a cycle this
+    # already rules the route out, before the spectrum is paid for.
+    reach, layer, least = 1, degree, 1
+    while reach < n:
+        reach, layer, least = reach + layer, layer * (degree - 1), least + 1
+    if 2 * (least - 1) >= full_cost:
+        return None
+    roots: list[float] = []
+    for theta in np.linalg.eigvalsh(adjacency).tolist():  # ascending
+        if not roots or theta - roots[-1] > _ROOT_GAP:
+            roots.append(theta)
+    t = len(roots)
+    if 2 * (t - 1) >= full_cost:  # not cheaper even with a single prime
+        return None
+    coefficients = [1.0]  # lowest degree first
+    for theta in roots:
+        coefficients = [low - theta * high
+                        for low, high in zip([0.0, *coefficients], [*coefficients, 0.0])]
+    if not all(abs(c) < _COEFFICIENT_LIMIT for c in coefficients):  # also inf and nan
+        return None
+    rounded = [round(c) for c in coefficients]
+    if any(abs(c - r) > _INTEGER_TOL for c, r in zip(coefficients, rounded)):
+        return None
+    bound = max(degree ** (t - 1), sum(abs(c) * degree**i for i, c in enumerate(rounded)))
+    short = _short_moduli(degree, bound, primes)
+    if short is None or 2 * (t - 1) * len(short) >= full_cost:
+        return None
+    return rounded, short
+
+
+def _short_moduli(degree: int, bound: int, primes: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """Leading ``primes`` whose product exceeds ``bound``, or None when they
+    run out or a needed one has ``(degree + 1) * p >= 2^53``."""
+    product = 1
+    for count, p in enumerate(primes, start=1):
+        if (degree + 1) * p >= _EXACT_LIMIT:
+            return None
+        product *= p
+        if product > bound:
+            return primes[:count]
+    return None
+
+
+def _annihilates(adjacency: np.ndarray, degree: int, coefficients: list[int],
+                 primes: tuple[int, ...]) -> bool:
+    """Whether ``p(A)`` vanishes modulo every prime, by Horner's rule
+    ``acc <- acc @ A + c_i I`` with each ``c_i`` reduced modulo each prime."""
+    n = len(adjacency)
+    moduli = np.array(primes, dtype=np.float64)[:, None, None]
+    residues = np.array([[[c % p] for p in primes] for c in reversed(coefficients[:-1])],
+                        dtype=np.float64)
+    top = max(primes) - 1  # bound on every residue
+    acc = np.repeat(adjacency[None], len(primes), axis=0)  # the leading 1, times A
+    acc.reshape(len(primes), -1)[:, :: n + 1] += residues[0]
+    largest = 1 + top  # bound on every entry of ``acc``
+    for residue in residues[1:]:
+        # A product entry sums ``degree`` entries of ``acc``, at most one of
+        # them on the diagonal, where the residue is then added.
+        if degree * largest + top >= _EXACT_LIMIT:
+            np.fmod(acc, moduli, out=acc)
+            largest = top
+        acc = (acc.reshape(-1, n) @ adjacency).reshape(acc.shape)
+        acc.reshape(len(primes), -1)[:, :: n + 1] += residue
+        largest = degree * largest + top
+    return not np.fmod(acc, moduli).any()
+
+
 def _first_violation(net: Network, degree: int) -> Optional[WalkCountMismatch]:
     """First ``(k, 0, y)`` whose closed-walk counts differ, for ``2 <= k < n``.
 
@@ -133,22 +266,15 @@ def _first_violation(net: Network, degree: int) -> Optional[WalkCountMismatch]:
             f"certifying n={n} needs {len(primes)} primes and {needed} bytes of "
             f"residues, over the limit of {MAX_RESIDUE_BYTES} bytes"
         )
-    moduli = np.array(primes, dtype=np.float64)[:, None]
     # Off the diagonal, a unit-conductance Laplacian is minus the adjacency.
     adjacency = (net._laplacian < 0.0).astype(np.float64)
-    power = np.repeat(adjacency[None], len(primes), axis=0)
-    largest = 1  # bound on every entry of ``power``
-    for k in range(2, n):
-        if degree * largest >= _EXACT_LIMIT:
-            np.fmod(power, moduli[:, :, None], out=power)
-            largest = max(primes) - 1
-        power = (power.reshape(-1, n) @ adjacency).reshape(power.shape)
-        largest *= degree
-        diagonal = np.fmod(power.diagonal(axis1=1, axis2=2), moduli)
-        differs = (diagonal != diagonal[:, :1]).any(axis=0)
-        if differs.any():
-            return WalkCountMismatch(k=k, x=0, y=int(differs.argmax()))
-    return None
+    route = _short_route(adjacency, degree, primes)
+    if route is not None:
+        coefficients, short = route
+        violation = _scan(adjacency, degree, short, len(coefficients) - 1)
+        if violation is not None or _annihilates(adjacency, degree, coefficients, short):
+            return violation
+    return _scan(adjacency, degree, primes, n)
 
 
 def check_walk_regular(net: Network) -> WalkRegularityReport:

@@ -123,6 +123,16 @@ class TestFormat:
         with pytest.raises(BadParameter, match="label 'a' is repeated"):
             format_edge_list(cycle(3), ("a", "a", "b"))
 
+    def test_singleton_label_other_than_zero_is_refused(self):
+        # The document is the bare header "1", which parses back with label "0".
+        singleton = build_network(1, [])
+        with pytest.raises(BadParameter, match="label 'x' of an edgeless one-vertex network"):
+            format_edge_list(singleton, ("x",))
+        for labels in (None, ("0",)):
+            text = format_edge_list(singleton, labels)
+            assert text == "1\n"
+            assert parse_edge_list(text).labels == ("0",)
+
 
 class TestRoundTrip:
     def test_generated_graph(self):

@@ -67,6 +67,16 @@ class TestClosedForms:
         with pytest.raises(BadParameter):
             predicted_removed_resistance(r)
 
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "closed_form",
+        [predicted_removed_resistance, resistance_increment, lambda r: removed_edge_hitting_time(3, r)],
+        ids=["predicted_removed_resistance", "resistance_increment", "removed_edge_hitting_time"],
+    )
+    def test_non_finite_resistance_rejected(self, closed_form, r):
+        with pytest.raises(BadParameter, match=f"must be finite, got {r}"):
+            closed_form(r)
+
 
 class TestExtremalBounds:
     def test_five(self):

@@ -84,13 +84,109 @@ class TestCertificate:
         assert report.is_walk_regular is True
         assert report.checked_k_max == 23
 
-    @pytest.mark.parametrize("net", [hypercube(7), unitary_cayley(64)],
+    @pytest.mark.parametrize("net", [hypercube(7), hypercube(8), unitary_cayley(64)],
                              ids=lambda g: f"n{g.vertex_count}m{g.edge_count}")
     def test_large_families_certify(self, net):
-        # Counts reach 7^127 in hypercube(7): 12 primes of the table.
+        # Counts reach 7^127 in hypercube(7): 12 primes of the table, and
+        # 8^255 in hypercube(8): 24 primes. Nine distinct eigenvalues stop
+        # hypercube(8) at walk length 8, with 255 lengths implied.
         report = check_walk_regular(net)
         assert report.is_walk_regular is True
         assert report.checked_k_max == net.vertex_count - 1
+
+
+def blow_up(net, m):
+    """Each vertex replaced by m independent copies, each edge by K_{m,m}.
+
+    The adjacency becomes ``A (x) J_m``: eigenvalues ``m * theta`` and 0,
+    and closed-walk counts ``m^(k-1)`` times the original ones.
+    """
+    return build_network(net.vertex_count * m, [(a * m + i, b * m + j) for a, b, _ in net.edges
+                                                  for i in range(m) for j in range(m)])
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The ``stop`` of every residue scan the certificate runs."""
+    stops = []
+    scan = walk_regular._scan
+
+    def recording(adjacency, degree, primes, stop):
+        stops.append(stop)
+        return scan(adjacency, degree, primes, stop)
+
+    monkeypatch.setattr(walk_regular, "_scan", recording)
+    return stops
+
+
+class TestShortRoute:
+    @pytest.mark.parametrize("net, t", [(petersen(), 3), (complete(24), 2), (hypercube(6), 7),
+                                        (unitary_cayley(48), 5)],
+                             ids=["petersen", "complete24", "hypercube6", "unitary_cayley48"])
+    def test_scan_stops_at_the_number_of_distinct_eigenvalues(self, net, t, scans):
+        report = check_walk_regular(net)
+        assert scans == [t]
+        assert report.is_walk_regular and report.checked_k_max == net.vertex_count - 1
+
+    def test_horner_residues_are_reduced_before_they_pass_float_exactness(self, scans, monkeypatch):
+        # 2^50 - 27 and 2^50 - 35 are prime. Residues of hypercube(5)'s
+        # negative coefficients lie near 2^50, and two products by the
+        # 5-regular adjacency take them past 2^53 unless they are reduced.
+        monkeypatch.setattr(walk_regular, "_PRIMES", (2**50 - 27, 2**50 - 35))
+        assert check_walk_regular(hypercube(5)).is_walk_regular
+        assert scans == [6]
+
+    def test_primes_too_large_for_the_diagonal_term_are_refused(self, monkeypatch):
+        # 2 * p < 2^53 <= 3 * p: the scan of a 2-regular graph may use this
+        # prime, Horner's rule, which adds a residue to a product, may not.
+        monkeypatch.setattr(walk_regular, "_PRIMES", (4503599627370449,))
+        primes = walk_regular._moduli(2, 6)
+        assert primes == (4503599627370449,)
+        assert walk_regular._short_moduli(2, 66, primes) is None
+
+    def test_violation_below_the_polynomial_degree_comes_from_the_short_scan(self, scans):
+        # 16 vertices, 6-regular, six distinct eigenvalues: the scan stops at
+        # k = 5 and finds the uneven triangle counts at k = 3.
+        net = blow_up(build_network(8, CUBIC_UNEVEN_TRIANGLES), 2)
+        report = check_walk_regular(net)
+        assert scans == [6]
+        assert report.first_violation == WalkCountMismatch(k=3, x=0, y=6)
+        assert report == walk_regular_by_python_ints(net)
+
+    @pytest.mark.parametrize("net", [petersen(), unitary_cayley(12), complete(24), hypercube(5),
+                                     blow_up(petersen(), 3)],
+                             ids=lambda g: f"n{g.vertex_count}m{g.edge_count}")
+    def test_perturbed_polynomial_falls_back_to_the_full_scan(self, net, scans, monkeypatch):
+        short_route = walk_regular._short_route
+
+        def perturbed(*args):
+            coefficients, primes = short_route(*args)
+            return [coefficients[0] + 1, *coefficients[1:]], primes
+
+        monkeypatch.setattr(walk_regular, "_short_route", perturbed)
+        assert check_walk_regular(net) == walk_regular_by_python_ints(net)
+        assert len(scans) == 2 and scans[-1] == net.vertex_count
+
+    def test_unproven_polynomial_never_certifies(self, scans, monkeypatch):
+        # x^2 leaves the short scan no walk length to check; only the proof
+        # that x^2 does not annihilate A keeps the k = 3 witness.
+        square = ([0, 0, 1], walk_regular._PRIMES[:1])
+        monkeypatch.setattr(walk_regular, "_short_route", lambda *args: square)
+        net = build_network(8, CUBIC_UNEVEN_TRIANGLES)
+        assert check_walk_regular(net) == walk_regular_by_python_ints(net)
+        assert scans == [2, 8]
+
+    def test_coefficients_past_float_range_give_no_candidate(self):
+        # prod(x - theta) over 100..399 overflows float64; rounding inf or
+        # nan would raise instead of falling back.
+        diagonal = np.diag(np.arange(100.0, 400.0))
+        assert walk_regular._short_route(diagonal, 100, walk_regular._PRIMES) is None
+
+    def test_small_graphs_whose_scan_is_cheap_skip_it(self, scans):
+        # cycle(6) has four distinct eigenvalues: six products on the short
+        # route are not fewer than the full scan's four.
+        assert check_walk_regular(cycle(6)).is_walk_regular
+        assert scans == [6]
 
 
 def random_regular_corpus(count: int = 240, seed: int = 4417):
@@ -124,6 +220,16 @@ class TestAgainstPythonInts:
         for net in random_regular_corpus(count=100, seed=5081):
             monkeypatch.setattr(walk_regular, "_PRIMES", tuple(rng.permutation(small).tolist()))
             assert check_walk_regular(net) == walk_regular_by_python_ints(net), net.edges
+
+    def test_blown_up_regular_reports_match(self, scans):
+        # A blow-up adds only the eigenvalue 0 to the spectrum while doubling
+        # n, so most of these take the short route, witness included.
+        short = 0
+        for net in map(blow_up, random_regular_corpus(count=40, seed=6011), [2] * 40):
+            scans.clear()
+            assert check_walk_regular(net) == walk_regular_by_python_ints(net), net.edges
+            short += scans[0] < net.vertex_count
+        assert short >= 30
 
     @pytest.mark.parametrize(
         "net",
