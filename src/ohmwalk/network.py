@@ -7,7 +7,9 @@ at ``y`` steps to neighbor ``z`` with probability ``C_yz / C_y``, where
 
 All surgery operations (edge removal, pendant attachment) return new
 networks; existing values are never mutated, so they are safe to share
-across threads.
+across threads. Each network computes each derived report (resistances,
+hitting times, the walk-regularity certificate) at most once and hands the
+same frozen, read-only report to every later caller.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -31,6 +33,8 @@ from .errors import (
 )
 
 __all__ = ["Network", "EdgeRef", "build_network"]
+
+_Report = TypeVar("_Report")
 
 
 def _require_integer(value, name: str) -> int:
@@ -118,6 +122,35 @@ class Network:
         object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "edges", tuple(canonical))
         self._check_connected()
+
+    @classmethod
+    def _trusted(cls, vertex_count: int, edges: tuple[tuple[int, int, float], ...]) -> "Network":
+        """A network from fields that are already canonical, without validation.
+
+        Only :meth:`remove_edge` calls this: deleting a non-bridge edge from
+        a validated network's sorted canonical tuple keeps every invariant
+        that ``__post_init__`` checks, connectivity included, so checking
+        them again would only repeat work.
+        """
+        net = object.__new__(cls)
+        object.__setattr__(net, "vertex_count", vertex_count)
+        object.__setattr__(net, "edges", edges)
+        return net
+
+    def _report(self, key: str, compute: Callable[["Network"], _Report]) -> _Report:
+        """``compute(self)``, computed on the first call and stored under ``key``.
+
+        The value lives in the instance ``__dict__``, as a ``cached_property``
+        does, so it goes when the network goes. An exception is not stored:
+        the next call computes again. Callers share the stored value, so it
+        must be immutable. Threads racing on the first call may each compute
+        it; their results are equal, and later calls get the one stored last.
+        """
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            report = self.__dict__[key] = compute(self)
+            return report
 
     # -- structural queries -------------------------------------------------
 
@@ -274,7 +307,7 @@ class Network:
             raise WouldDisconnect(f"({a}, {b}) is a cut-edge; removal would disconnect the graph")
         key = (min(a, b), max(a, b))
         kept = tuple(e for e in self.edges if (e[0], e[1]) != key)
-        return Network(self.vertex_count, kept)
+        return Network._trusted(self.vertex_count, kept)
 
     def add_pendant_vertex(self, z: int, conductance: float = 1.0) -> tuple["Network", int]:
         """Attach a fresh degree-1 vertex to ``z`` and return (network, new id).

@@ -14,7 +14,10 @@ factorisations are used on purpose, so that the suite's
 
 Both read the Laplacian that the :class:`Network` builds once and caches.
 Return times need neither: they are the closed form ``C / C_z``.
-Everything here is deterministic and pure; inputs are never mutated.
+Everything here is deterministic and pure; inputs are never mutated. Each
+network computes each report once, on the first call, and every later call
+returns that same report: the reports are frozen and their arrays
+read-only, so callers share them safely.
 """
 
 from __future__ import annotations
@@ -81,8 +84,15 @@ def effective_resistance_matrix(net: Network) -> ResistanceReport:
     ascending order) scaled by ``1/sqrt(mu)``. Resistances follow from
     ``R_ab = P_aa + P_bb - 2 P_ab``; the Kirchhoff index, the sum over
     unordered pairs, is half the sum of that symmetric matrix.
+
+    The report is computed once per network; later calls return the same
+    read-only report.
     """
     _require_multivertex(net)
+    return net._report("_resistance_report", _resistances)
+
+
+def _resistances(net: Network) -> ResistanceReport:
     try:
         eigenvalues, vectors = np.linalg.eigh(net._laplacian)
     except np.linalg.LinAlgError as exc:
@@ -124,8 +134,15 @@ def hitting_time_matrix(net: Network) -> HittingReport:
     column ``H[:, b]`` solves ``L h = s - C e_b`` with ``h_b = 0``.
     The grounded Laplacian is symmetric positive definite, since the network
     is connected.
+
+    The report is computed once per network; later calls return the same
+    read-only report.
     """
     _require_multivertex(net)
+    return net._report("_hitting_report", _hitting_times)
+
+
+def _hitting_times(net: Network) -> HittingReport:
     n = net.vertex_count
     lap = net._laplacian
     strengths = np.diag(lap)

@@ -27,9 +27,11 @@ magnitude at most ``sum |c_i| d^i``. Once the product of the primes exceeds
 ``max(d^(t-1), sum |c_i| d^i)``, counts that agree modulo every prime are
 equal, counts that differ modulo any prime differ, and ``p(A)`` vanishing
 modulo every prime vanishes: verdict and witness are the exact ones. The
-plain scan needs primes past ``d^(n-1)``; the memory and table limits below
-are checked against that bound up front, and the short route takes a prefix
-of the same primes.
+plain scan needs primes past ``d^(n-1)``, and the short route takes a prefix
+of the same primes. When ``d^(n-1)`` is past the whole table, the plain scan
+cannot run, and the short route alone certifies over the table's leading
+primes, or the certificate refuses. The memory limit below is checked
+against the primes a scan will use before its residues are allocated.
 
 Residues are carried in float64 so that every power step is one BLAS
 matrix product over the stack of primes. An entry of ``power @ A`` sums at
@@ -43,6 +45,7 @@ product, which needs ``(d + 1) * p < 2^53`` of its primes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,7 +88,8 @@ class WalkRegularityReport:
 
 
 # The 64 largest primes below 2^32. Their product exceeds 2^2047, which is
-# the largest closed-walk count bound ``d^(n-1)`` this module can certify.
+# the largest count bound this module can certify: ``d^(n-1)`` on the plain
+# scan, ``max(d^(t-1), sum |c_i| d^i)`` on the short route.
 _PRIMES = (
     4294967291, 4294967279, 4294967231, 4294967197, 4294967189, 4294967161,
     4294967143, 4294967111, 4294967087, 4294967029, 4294966997, 4294966981,
@@ -105,9 +109,11 @@ _EXACT_LIMIT = 2**53
 
 # Largest residue stack, ``primes * n * n`` float64 values, that the certificate
 # will allocate; each power step allocates one more of the same size. It is
-# checked for the primes of the plain scan, of which the short route uses a
-# prefix. The largest graph of the benchmark, Q_7, needs 1.5 MiB, and of the
-# test suite, Q_8, 12 MiB.
+# checked before the Laplacian is built, for the primes of the plain scan (of
+# which the short route uses a prefix) or, past the table, for the fewest the
+# short route could use, and again for the short route's own primes. The
+# largest graph of the benchmark, Q_7, needs 1.5 MiB, and of the test suite,
+# Q_8, 12 MiB.
 MAX_RESIDUE_BYTES = 256 * 2**20
 
 # Eigenvalues of the adjacency closer than this are taken as one root of the
@@ -118,12 +124,12 @@ _INTEGER_TOL = 1e-6
 _COEFFICIENT_LIMIT = 2**50
 
 
-def _moduli(degree: int, n: int) -> tuple[int, ...]:
-    """Leading primes of the table whose product exceeds ``degree^(n-1)``.
+def _moduli(degree: int, n: int) -> Optional[tuple[int, ...]]:
+    """Leading primes of the table whose product exceeds ``degree^(n-1)``,
+    or None when the whole table cannot exceed it.
 
     Raises:
-        BadParameter: a needed prime ``p`` has ``degree * p >= 2^53``, or the
-            whole table cannot exceed the count bound.
+        BadParameter: a needed prime ``p`` has ``degree * p >= 2^53``.
     """
     bound = degree ** (n - 1)
     chosen: list[int] = []
@@ -138,12 +144,36 @@ def _moduli(degree: int, n: int) -> tuple[int, ...]:
             )
         chosen.append(p)
         product *= p
-    if product <= bound:
+    return tuple(chosen) if product > bound else None
+
+
+def _beyond_table(degree: int, n: int) -> BadParameter:
+    return BadParameter(
+        f"closed-walk counts up to {degree}^{n - 1} exceed the product of "
+        f"the {len(_PRIMES)} tabulated primes; the certificate cannot be exact"
+    )
+
+
+def _admit(n: int, primes: tuple[int, ...]) -> None:
+    """Refuse a residue stack over ``primes`` that would pass ``MAX_RESIDUE_BYTES``."""
+    needed = len(primes) * n * n * 8
+    if needed > MAX_RESIDUE_BYTES:
         raise BadParameter(
-            f"closed-walk counts up to {degree}^{n - 1} exceed the product of "
-            f"the {len(_PRIMES)} tabulated primes; the certificate cannot be exact"
+            f"certifying n={n} needs {len(primes)} primes and {needed} bytes of "
+            f"residues, over the limit of {MAX_RESIDUE_BYTES} bytes"
         )
-    return tuple(chosen)
+
+
+def _fewest_roots(degree: int, n: int) -> int:
+    """A lower bound on the number ``t`` of distinct adjacency eigenvalues.
+
+    ``t`` exceeds the diameter, which is at least the Moore bound's: a vertex
+    reaches at most ``d (d-1)^(i-1)`` others at distance ``i``.
+    """
+    reach, layer, least = 1, degree, 1
+    while reach < n:
+        reach, layer, least = reach + layer, layer * (degree - 1), least + 1
+    return least
 
 
 def _scan(adjacency: np.ndarray, degree: int, primes: tuple[int, ...],
@@ -170,27 +200,24 @@ def _scan(adjacency: np.ndarray, degree: int, primes: tuple[int, ...],
 
 
 def _short_route(adjacency: np.ndarray, degree: int,
-                 primes: tuple[int, ...]) -> Optional[tuple[list[int], tuple[int, ...]]]:
+                 primes: Optional[tuple[int, ...]]) -> Optional[tuple[list[int], tuple[int, ...]]]:
     """A candidate annihilating polynomial and the primes to check it with.
 
     The candidate is ``prod(x - theta)`` over the distinct eigenvalues of the
     float spectrum, with its coefficients ``c_0..c_(t-1), 1`` rounded to
     integers; it is only a guess, which the caller proves. Its primes are
-    leading ones of the plain scan's ``primes``. None when the coefficients
-    are not near-integers below ``2^50``, those primes hold no usable prefix
-    whose product exceeds ``max(d^(t-1), sum |c_i| d^i)``, or the route's
-    ``2(t-1)`` products on that stack would not undercut the plain scan's
-    ``n - 2`` on its own.
+    leading ones of the plain scan's ``primes``, or of the table when
+    ``primes`` is None because the plain scan is beyond it. None when the
+    coefficients are not near-integers below ``2^50``, those primes hold no
+    usable prefix whose product exceeds ``max(d^(t-1), sum |c_i| d^i)``, or
+    the route's ``2(t-1)`` products on that stack would not undercut the
+    plain scan's ``n - 2`` on its own.
     """
     n = len(adjacency)
-    full_cost = (n - 2) * len(primes)
-    # t exceeds the diameter, which is at least the Moore bound's: a vertex
-    # reaches at most d (d-1)^(i-1) others at distance i. On a cycle this
-    # already rules the route out, before the spectrum is paid for.
-    reach, layer, least = 1, degree, 1
-    while reach < n:
-        reach, layer, least = reach + layer, layer * (degree - 1), least + 1
-    if 2 * (least - 1) >= full_cost:
+    full_cost = math.inf if primes is None else (n - 2) * len(primes)
+    # On a cycle the lower bound on t already rules the route out, before
+    # the spectrum is paid for.
+    if 2 * (_fewest_roots(degree, n) - 1) >= full_cost:
         return None
     roots: list[float] = []
     for theta in np.linalg.eigvalsh(adjacency).tolist():  # ascending
@@ -209,7 +236,7 @@ def _short_route(adjacency: np.ndarray, degree: int,
     if any(abs(c - r) > _INTEGER_TOL for c, r in zip(coefficients, rounded)):
         return None
     bound = max(degree ** (t - 1), sum(abs(c) * degree**i for i, c in enumerate(rounded)))
-    short = _short_moduli(degree, bound, primes)
+    short = _short_moduli(degree, bound, _PRIMES if primes is None else primes)
     if short is None or 2 * (t - 1) * len(short) >= full_cost:
         return None
     return rounded, short
@@ -256,24 +283,32 @@ def _first_violation(net: Network, degree: int) -> Optional[WalkCountMismatch]:
     """First ``(k, 0, y)`` whose closed-walk counts differ, for ``2 <= k < n``.
 
     Raises:
-        BadParameter: the residue stack would pass ``MAX_RESIDUE_BYTES``.
+        BadParameter: the residue stack would pass ``MAX_RESIDUE_BYTES``, or
+            the plain scan is beyond the prime table and the short route
+            cannot certify.
     """
     n = net.vertex_count
     primes = _moduli(degree, n)
-    needed = len(primes) * n * n * 8
-    if needed > MAX_RESIDUE_BYTES:
-        raise BadParameter(
-            f"certifying n={n} needs {len(primes)} primes and {needed} bytes of "
-            f"residues, over the limit of {MAX_RESIDUE_BYTES} bytes"
-        )
+    if primes is None:
+        # Only the short route can certify, and it needs at least the primes
+        # that exceed d^(t-1) for the least t the Moore bound allows.
+        primes_at_least = _short_moduli(degree, degree ** (_fewest_roots(degree, n) - 1), _PRIMES)
+        if primes_at_least is None:
+            raise _beyond_table(degree, n)
+        _admit(n, primes_at_least)
+    else:
+        _admit(n, primes)
     # Off the diagonal, a unit-conductance Laplacian is minus the adjacency.
     adjacency = (net._laplacian < 0.0).astype(np.float64)
     route = _short_route(adjacency, degree, primes)
     if route is not None:
         coefficients, short = route
+        _admit(n, short)
         violation = _scan(adjacency, degree, short, len(coefficients) - 1)
         if violation is not None or _annihilates(adjacency, degree, coefficients, short):
             return violation
+    if primes is None:
+        raise _beyond_table(degree, n)
     return _scan(adjacency, degree, primes, n)
 
 
@@ -286,9 +321,16 @@ def check_walk_regular(net: Network) -> WalkRegularityReport:
         BadParameter: the graph is regular but its closed-walk counts are
             beyond what the prime table can certify exactly, or their
             residues would need more than ``MAX_RESIDUE_BYTES``.
+
+    The report is computed once per network; later calls return the same
+    frozen report.
     """
     if not net.is_unit_conductance:
         raise NonUnitConductance("walk-regularity is defined on unit-conductance graphs")
+    return net._report("_walk_regularity_report", _certify)
+
+
+def _certify(net: Network) -> WalkRegularityReport:
     n = net.vertex_count
     degrees = [net.degree(z) for z in range(n)]
     if len(set(degrees)) > 1:

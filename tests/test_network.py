@@ -205,6 +205,26 @@ class TestRemoveEdge:
         net.remove_edge(0, 1)
         assert net.edge_count == 3
 
+    def test_result_equals_a_validated_network(self, corpus):
+        for net in corpus[:25]:
+            for a, b, _ in net.edges:
+                if net.is_cut_edge(a, b):
+                    continue
+                reduced = net.remove_edge(a, b)
+                validated = Network(net.vertex_count, tuple(e for e in net.edges if e[:2] != (a, b)))
+                assert reduced == validated
+                assert hash(reduced) == hash(validated)
+                assert np.array_equal(reduced._laplacian, validated._laplacian)
+
+    def test_refusals_keep_their_messages(self):
+        net = path3()
+        with pytest.raises(WouldDisconnect, match=r"^\(0, 1\) is a cut-edge; removal would disconnect the graph$"):
+            net.remove_edge(0, 1)
+        with pytest.raises(NoSuchEdge, match=r"^\(0, 2\) is not an edge$"):
+            net.remove_edge(0, 2)
+        with pytest.raises(BadVertexId, match=r"^vertex 3 outside 0\.\.2$"):
+            net.remove_edge(0, 3)
+
     def test_remove_then_readd_round_trips(self, corpus):
         for net in corpus[:25]:
             removable = [(a, b, c) for a, b, c in net.edges if not net.is_cut_edge(a, b)]

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -27,6 +28,7 @@ from ohmwalk import (
     resistance_increment,
     unitary_cayley,
 )
+from ohmwalk import walk_regular
 from support import CUBIC_UNEVEN_TRIANGLES, WEIGHTED_TRIANGLE, connected_graphs_on
 
 REL = 1e-9
@@ -179,6 +181,38 @@ class TestAnalyzeEdgeRemoval:
         net = build_network(3, [(0, 1), (1, 2)])
         with pytest.raises(WouldDisconnect):
             analyze_edge_removal(net, 0, 1)
+
+
+# Two triangles joined by a two-edge path, with a pendant vertex: three bridges.
+BRIDGED = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6), (6, 7)]
+
+
+class TestEveryEdgeOfOneNetwork:
+    @pytest.mark.parametrize("build", [petersen, lambda: build_network(8, BRIDGED)],
+                             ids=["petersen", "bridged"])
+    def test_original_network_is_computed_once(self, build, monkeypatch):
+        net = build()
+        edges = [(a, b) for a, b, _ in net.edges if not net.is_cut_edge(a, b)]
+        counts = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(np.linalg, "eigh")
+        count(np.linalg, "solve")
+        count(walk_regular, "_certify")
+        reports = [analyze_edge_removal(net, a, b) for a, b in edges]
+        k = len(edges)
+        assert counts == {"eigh": 1 + k, "solve": 1 + k, "_certify": 1}
+        monkeypatch.undo()
+        fresh = [analyze_edge_removal(build_network(net.vertex_count, net.edges), a, b) for a, b in edges]
+        assert reports == fresh
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -341,3 +344,51 @@ class TestCommuteTimes:
         value = hitting_time_matrix(net).commute[0, 1]
         r = effective_resistance_matrix(net).resistance[0, 1]
         assert value == pytest.approx(2 * net.edge_count * r, rel=REL)
+
+
+class TestReportsComputedOncePerNetwork:
+    @pytest.mark.parametrize("route, arrays", [(effective_resistance_matrix, ("resistance",)),
+                                               (hitting_time_matrix, ("hitting", "commute")),
+                                               (check_walk_regular, ())],
+                             ids=["resistance", "hitting", "certificate"])
+    def test_second_call_returns_the_same_read_only_report(self, route, arrays):
+        net = petersen()
+        first = route(net)
+        assert route(net) is first
+        for name in arrays:
+            array = getattr(first, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 1] = 0.0
+        assert route(net) is first
+
+    def test_a_failure_is_not_stored(self, monkeypatch):
+        net = petersen()
+
+        def failing_solve(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        with pytest.raises(NumericalFailure, match="injected"):
+            hitting_time_matrix(net)
+        monkeypatch.undo()
+        assert np.array_equal(hitting_time_matrix(net).hitting, hitting_time_matrix(petersen()).hitting)
+
+    def test_threads_racing_on_the_first_call_get_equal_reports(self):
+        net = hypercube(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                reports = list(pool.map(lambda _: hitting_time_matrix(net), range(32), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        stored = hitting_time_matrix(net)
+        assert all(np.array_equal(report.hitting, stored.hitting) for report in reports)
+        assert hitting_time_matrix(net) is stored
+
+    def test_argument_checks_still_run(self):
+        single = build_network(1, [])
+        for route in (effective_resistance_matrix, hitting_time_matrix):
+            with pytest.raises(BadParameter, match="at least two vertices"):
+                route(single)

@@ -1,4 +1,4 @@
-"""One traced pass of a cheap slice of three benchmark workloads.
+"""One traced pass of a cheap slice of every benchmark workload.
 
 A traced benchmark run fails when a layer that ``perfbench/workloads.py``
 declares in ``EXPECTED_SPANS`` sees no call. This test runs the same check
@@ -22,6 +22,7 @@ from perfbench.tracing import Tracer  # noqa: E402
 
 CHEAP_CALLS = {
     "exact-cli": lambda call: call.graph == "q7",
+    "removal-small": lambda call: call.graph.startswith("n5-"),
     "removal-walk-regular": lambda call: call.graph == "uneven-cubic",
     "mc-verify": lambda call: call.query["samples"] <= 1500,
 }

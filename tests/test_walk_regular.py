@@ -252,11 +252,52 @@ class TestModuli:
         assert all(math.gcd(p, q) == 1 for p, q in combinations(walk_regular._PRIMES, 2))
 
     def test_count_bound_beyond_table_raises(self, monkeypatch):
-        # hypercube(5) counts reach 5^31 > 2^64: two 32-bit primes cannot tell them apart.
+        # cycle(66) counts reach 2^65 > 2^64: two 32-bit primes cannot tell
+        # them apart, and its 34 distinct eigenvalues leave the short route
+        # a bound past them too.
         monkeypatch.setattr(walk_regular, "_PRIMES", walk_regular._PRIMES[:2])
         with pytest.raises(BadParameter, match="exceed the product"):
-            check_walk_regular(hypercube(5))
+            check_walk_regular(cycle(66))
         assert check_walk_regular(hypercube(4)).is_walk_regular
+
+    def test_count_bound_beyond_table_certifies_on_the_short_route(self, monkeypatch, scans):
+        # hypercube(5) counts reach 5^31 > 2^64, but its six distinct
+        # eigenvalues bound the short route by 28 575: one prime.
+        monkeypatch.setattr(walk_regular, "_PRIMES", walk_regular._PRIMES[:2])
+        net = hypercube(5)
+        assert walk_regular._moduli(5, 32) is None
+        assert check_walk_regular(net) == walk_regular_by_python_ints(net)
+        assert scans == [6]
+
+    @pytest.mark.parametrize("n", [260, 300])
+    def test_complete_graphs_past_the_table_certify(self, n, scans):
+        # (n-1)^(n-1) passes the table's 2^2047; x^2 - (n-2) x - (n-1) needs one prime.
+        assert walk_regular._moduli(n - 1, n) is None
+        report = check_walk_regular(complete(n))
+        assert report.is_walk_regular and report.checked_k_max == n - 1
+        assert scans == [2]
+
+    def test_unproven_polynomial_past_the_table_raises(self, monkeypatch):
+        # Past the table only the short route can certify; a candidate whose
+        # proof fails leaves nothing to fall back to.
+        short_route = walk_regular._short_route
+
+        def perturbed(*args):
+            coefficients, primes = short_route(*args)
+            return [coefficients[0] + 1, *coefficients[1:]], primes
+
+        monkeypatch.setattr(walk_regular, "_PRIMES", walk_regular._PRIMES[:2])
+        monkeypatch.setattr(walk_regular, "_short_route", perturbed)
+        with pytest.raises(BadParameter, match="exceed the product of the 2 tabulated primes"):
+            check_walk_regular(hypercube(5))
+
+    def test_residue_memory_past_the_table_is_refused_before_allocating(self, monkeypatch):
+        # complete(260): past the table, one prime and a 260 x 260 stack.
+        monkeypatch.setattr(walk_regular, "MAX_RESIDUE_BYTES", 260 * 260 * 8 - 1)
+        net = complete(260)
+        with pytest.raises(BadParameter, match=r"n=260 needs 1 primes and 540800 bytes"):
+            check_walk_regular(net)
+        assert "_laplacian" not in vars(net)
 
     def test_degree_beyond_float_exactness_raises(self, monkeypatch):
         # 3 * p >= 2^53 for this prime just below 2^52; 2 * p is still exact.
