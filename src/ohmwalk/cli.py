@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from . import generators
 from .edgelist import LabeledNetwork, format_edge_list, parse_edge_list
-from .errors import BadParameter, OhmwalkError
+from .errors import BadParameter, NoSuchEdge, OhmwalkError, WouldDisconnect
 from .montecarlo import estimate_hitting_time, estimate_return_time, verify_pendant_identities
 from .perturbation import analyze_edge_removal
 from .solver import effective_resistance_matrix, hitting_time_matrix, return_time
@@ -125,7 +125,13 @@ def _cmd_return_time(args: argparse.Namespace, doc: LabeledNetwork) -> int:
 
 def _cmd_remove_edge(args: argparse.Namespace, doc: LabeledNetwork) -> int:
     a, b = (doc.id_of(t) for t in args.edge)
-    report = analyze_edge_removal(doc.network, a, b)
+    pair = "({}, {})".format(*args.edge)  # the library names ids, the user gave labels
+    try:
+        report = analyze_edge_removal(doc.network, a, b)
+    except NoSuchEdge:
+        raise NoSuchEdge(f"{pair} is not an edge") from None
+    except WouldDisconnect:
+        raise WouldDisconnect(f"{pair} is a cut-edge; removal would disconnect the graph") from None
     document = {**asdict(report), "labels": list(doc.labels)}
     lines = [f"edge: {doc.labels[report.edge.a]} {doc.labels[report.edge.b]}"]
     lines += [f"{f.name}: {_show(getattr(report, f.name))}" for f in fields(report) if f.name != "edge"]
@@ -136,13 +142,14 @@ def _cmd_remove_edge(args: argparse.Namespace, doc: LabeledNetwork) -> int:
 def _cmd_walk_regular(args: argparse.Namespace, doc: LabeledNetwork) -> int:
     report = check_walk_regular(doc.network)
     v = report.first_violation
+    witness = "none" if v is None else f"k={v.k} x={doc.labels[v.x]} y={doc.labels[v.y]}"
     _emit(
         args,
-        asdict(report),
+        {**asdict(report), "labels": list(doc.labels)},
         [
             f"is_regular: {_show(report.is_regular)}",
             f"is_walk_regular: {_show(report.is_walk_regular)}",
-            f"first_violation: {'none' if v is None else f'k={v.k} x={v.x} y={v.y}'}",
+            f"first_violation: {witness}",
             f"checked_k_max: {report.checked_k_max}",
         ],
     )

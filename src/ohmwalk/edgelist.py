@@ -115,7 +115,7 @@ def format_edge_list(net: Network, labels: tuple[str, ...] | None = None) -> str
         if label in seen:
             raise BadParameter(f"label {label!r} is repeated; labels must be distinct")
         seen.add(label)
-    if not net.edges and labels != ("0",):
+    if not net.edges and tuple(labels) != ("0",):
         # The document is the bare header, which parses back with label "0".
         raise BadParameter(
             f"label {labels[0]!r} of an edgeless one-vertex network cannot be written; "

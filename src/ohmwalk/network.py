@@ -9,7 +9,9 @@ All surgery operations (edge removal, pendant attachment) return new
 networks; existing values are never mutated, so they are safe to share
 across threads. Each network computes each derived report (resistances,
 hitting times, the walk-regularity certificate) at most once and hands the
-same frozen, read-only report to every later caller.
+same frozen, read-only report to every later caller. One breadth-first tree
+from vertex 0, also built once, answers connectivity and the cut-edges and
+bounds the certificate's walk lengths from below.
 """
 
 from __future__ import annotations
@@ -236,21 +238,26 @@ class Network:
         # correctly rounded sum of the per-endpoint multiset.
         return 2.0 * math.fsum(c for _, _, c in self.edges)
 
+    @cached_property
+    def _tree(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Parent and depth of each vertex in a breadth-first tree from vertex 0.
+
+        The root's parent is -1; unreached vertices have parent and depth -1.
+        """
+        parent = [-1] * self.vertex_count
+        depth = [-1] * self.vertex_count
+        depth[0] = 0
+        queue = [0]
+        for v in queue:  # the loop also visits the vertices appended below
+            for w, _ in self._adjacency[v]:
+                if depth[w] < 0:
+                    parent[w], depth[w] = v, depth[v] + 1
+                    queue.append(w)
+        return tuple(parent), tuple(depth)
+
     def _check_connected(self) -> None:
         n = self.vertex_count
-        if n == 1:
-            return
-        first_seen = [False] * n
-        first_seen[0] = True
-        stack = [0]
-        reached = 1
-        while stack:
-            v = stack.pop()
-            for w, _ in self._adjacency[v]:
-                if not first_seen[w]:
-                    first_seen[w] = True
-                    reached += 1
-                    stack.append(w)
+        reached = n - self._tree[1].count(-1)
         if reached != n:
             raise DisconnectedGraph(f"graph has {n} vertices but only {reached} are reachable from 0")
 
@@ -258,34 +265,30 @@ class Network:
 
     @cached_property
     def _bridges(self) -> frozenset[tuple[int, int]]:
-        """All cut-edges, found by one iterative depth-first low-link pass.
+        """All cut-edges: the tree edges that no other edge closes a cycle over.
 
-        The network is connected, so the pass from vertex 0 reaches every edge.
-        """
-        pre = [-1] * self.vertex_count
-        low = [0] * self.vertex_count
-        pre[0] = 0
-        counter = 1
-        bridges: set[tuple[int, int]] = set()
-        stack: list[tuple[int, int, Iterable[tuple[int, float]]]] = [(0, -1, iter(self._adjacency[0]))]
-        while stack:
-            v, parent, it = stack[-1]
-            for w, _ in it:
-                if pre[w] == -1:
-                    pre[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, v, iter(self._adjacency[w])))
-                    break
-                if w != parent:
-                    low[v] = min(low[v], pre[w])
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] > pre[p]:
-                        bridges.add((min(p, v), max(p, v)))
-        return frozenset(bridges)
+        Each edge off the tree climbs from both ends to where they meet and
+        marks each tree edge ``(v, parent[v])`` it crosses by pointing
+        ``top[v]`` above ``v``; path halving skips marked stretches."""
+        parent, depth = self._tree
+        top = list(range(self.vertex_count))
+
+        def lowest_unmarked(v: int) -> int:
+            while top[v] != v:
+                top[v] = top[top[v]]
+                v = top[v]
+            return v
+
+        for a, b, _ in self.edges:
+            if parent[a] == b or parent[b] == a:  # a tree edge, as the graph is simple
+                continue
+            a, b = lowest_unmarked(a), lowest_unmarked(b)
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                top[a] = parent[a]
+                a = lowest_unmarked(a)
+        return frozenset((min(v, p), max(v, p)) for v, p in enumerate(parent) if v and top[v] == v)
 
     def is_cut_edge(self, a: int, b: int) -> bool:
         """True iff deleting edge {a, b} would disconnect the graph."""

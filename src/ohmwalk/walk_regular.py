@@ -111,9 +111,9 @@ _EXACT_LIMIT = 2**53
 # will allocate; each power step allocates one more of the same size. It is
 # checked before the Laplacian is built, for the primes of the plain scan (of
 # which the short route uses a prefix) or, past the table, for the fewest the
-# short route could use, and again for the short route's own primes. The
-# largest graph of the benchmark, Q_7, needs 1.5 MiB, and of the test suite,
-# Q_8, 12 MiB.
+# short route could use given the breadth-first depth, and again for the short
+# route's own primes. The largest graph of the benchmark, Q_7, needs 1.5 MiB,
+# and of the test suite, Q_8, 12 MiB.
 MAX_RESIDUE_BYTES = 256 * 2**20
 
 # Eigenvalues of the adjacency closer than this are taken as one root of the
@@ -164,18 +164,6 @@ def _admit(n: int, primes: tuple[int, ...]) -> None:
         )
 
 
-def _fewest_roots(degree: int, n: int) -> int:
-    """A lower bound on the number ``t`` of distinct adjacency eigenvalues.
-
-    ``t`` exceeds the diameter, which is at least the Moore bound's: a vertex
-    reaches at most ``d (d-1)^(i-1)`` others at distance ``i``.
-    """
-    reach, layer, least = 1, degree, 1
-    while reach < n:
-        reach, layer, least = reach + layer, layer * (degree - 1), least + 1
-    return least
-
-
 def _scan(adjacency: np.ndarray, degree: int, primes: tuple[int, ...],
           stop: int) -> Optional[WalkCountMismatch]:
     """First ``(k, 0, y)`` whose closed-walk counts differ, for ``2 <= k < stop``.
@@ -215,10 +203,6 @@ def _short_route(adjacency: np.ndarray, degree: int,
     """
     n = len(adjacency)
     full_cost = math.inf if primes is None else (n - 2) * len(primes)
-    # On a cycle the lower bound on t already rules the route out, before
-    # the spectrum is paid for.
-    if 2 * (_fewest_roots(degree, n) - 1) >= full_cost:
-        return None
     roots: list[float] = []
     for theta in np.linalg.eigvalsh(adjacency).tolist():  # ascending
         if not roots or theta - roots[-1] > _ROOT_GAP:
@@ -282,17 +266,23 @@ def _annihilates(adjacency: np.ndarray, degree: int, coefficients: list[int],
 def _first_violation(net: Network, degree: int) -> Optional[WalkCountMismatch]:
     """First ``(k, 0, y)`` whose closed-walk counts differ, for ``2 <= k < n``.
 
+    A connected graph has more distinct adjacency eigenvalues ``t`` than its
+    diameter (Brouwer & Haemers, *Spectra of Graphs*, 2012, ch. 1), so the
+    breadth-first depth plus one is a least ``t``: it bounds the primes past
+    the table, and skips a spectrum the short route could not pay for.
+
     Raises:
         BadParameter: the residue stack would pass ``MAX_RESIDUE_BYTES``, or
             the plain scan is beyond the prime table and the short route
             cannot certify.
     """
     n = net.vertex_count
+    fewest_roots = max(net._tree[1]) + 1
     primes = _moduli(degree, n)
     if primes is None:
         # Only the short route can certify, and it needs at least the primes
-        # that exceed d^(t-1) for the least t the Moore bound allows.
-        primes_at_least = _short_moduli(degree, degree ** (_fewest_roots(degree, n) - 1), _PRIMES)
+        # that exceed d^(t-1) for the least t.
+        primes_at_least = _short_moduli(degree, degree ** (fewest_roots - 1), _PRIMES)
         if primes_at_least is None:
             raise _beyond_table(degree, n)
         _admit(n, primes_at_least)
@@ -300,7 +290,9 @@ def _first_violation(net: Network, degree: int) -> Optional[WalkCountMismatch]:
         _admit(n, primes)
     # Off the diagonal, a unit-conductance Laplacian is minus the adjacency.
     adjacency = (net._laplacian < 0.0).astype(np.float64)
-    route = _short_route(adjacency, degree, primes)
+    route = None
+    if primes is None or 2 * (fewest_roots - 1) < (n - 2) * len(primes):
+        route = _short_route(adjacency, degree, primes)
     if route is not None:
         coefficients, short = route
         _admit(n, short)

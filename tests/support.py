@@ -1,9 +1,11 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own code paths:
-connectivity uses union-find (the library uses BFS / low-link), the
-exact hitting-time oracle runs Gaussian elimination over ``Fraction``
-(the library uses floating-point numpy solves), the float hitting-time
+connectivity and cut-edges use union-find (the library reads one
+breadth-first tree), neighbour lists come from the edge tuple alone (the
+library caches its own adjacency), the exact hitting-time oracle runs
+Gaussian elimination over ``Fraction`` (the library uses floating-point
+numpy solves), the float hitting-time
 oracle solves one first-step system per target (the library inverts the
 grounded Laplacian once), the commute-time oracle grounds the edge-loop
 Laplacian at each end of the pair (the library reads every pair off one
@@ -105,6 +107,16 @@ def random_corpus(count: int = 200, seed: int = 8201) -> list[Network]:
     return [random_connected_network(rng) for _ in range(count)]
 
 
+def neighbor_lists(net: Network) -> list[list[tuple[int, float]]]:
+    """Per-vertex ``(neighbor, conductance)`` pairs sorted by neighbor, read
+    from ``net.edges`` alone (the library builds its own adjacency)."""
+    lists: list[list[tuple[int, float]]] = [[] for _ in range(net.vertex_count)]
+    for a, b, c in net.edges:
+        lists[a].append((b, c))
+        lists[b].append((a, c))
+    return [sorted(pairs) for pairs in lists]
+
+
 def hitting_times_by_fractions(net: Network, target: int) -> list[Fraction]:
     """Exact expected steps to ``target``, by rational Gaussian elimination.
 
@@ -113,16 +125,16 @@ def hitting_times_by_fractions(net: Network, target: int) -> list[Fraction]:
     """
     n = net.vertex_count
     rows = []
-    for v in range(n):
+    for v, pairs in enumerate(neighbor_lists(net)):
         row = [Fraction(0)] * (n + 1)
         if v == target:
             row[v] = Fraction(1)
         else:
             strength = Fraction(0)
-            for _, c in net.neighbors(v):
+            for _, c in pairs:
                 strength += Fraction(c)
             row[v] = Fraction(1)
-            for y, c in net.neighbors(v):
+            for y, c in pairs:
                 row[y] -= Fraction(c) / strength
             row[n] = Fraction(1)
         rows.append(row)
@@ -218,9 +230,9 @@ def hitting_times_by_target_solves(net: Network) -> np.ndarray:
     """
     n = net.vertex_count
     transition = np.zeros((n, n))
-    for v in range(n):
-        strength = sum(c for _, c in net.neighbors(v))
-        for y, c in net.neighbors(v):
+    for v, pairs in enumerate(neighbor_lists(net)):
+        strength = sum(c for _, c in pairs)
+        for y, c in pairs:
             transition[v, y] = c / strength
     hitting = np.zeros((n, n))
     for b in range(n):
@@ -251,7 +263,7 @@ def walk_regular_by_python_ints(net: Network) -> WalkRegularityReport:
     not constant gives the witness ``(k, 0, y)`` with the smallest such y.
     """
     n = net.vertex_count
-    degrees = [len(net.neighbors(z)) for z in range(n)]
+    degrees = list(map(len, neighbor_lists(net)))
     if len(set(degrees)) > 1:
         return WalkRegularityReport(
             is_regular=False, is_walk_regular=False, first_violation=None, checked_k_max=1
@@ -301,8 +313,7 @@ class WalkSampler:
             raise BadParameter("random walk needs at least two vertices")
         self._neighbors: list[list[int]] = []
         self._cumulative: list[list[float]] = []
-        for v in range(net.vertex_count):
-            pairs = net.neighbors(v)
+        for pairs in neighbor_lists(net):
             self._neighbors.append([w for w, _ in pairs])
             self._cumulative.append(list(accumulate(c for _, c in pairs)))
 

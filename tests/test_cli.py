@@ -140,6 +140,28 @@ class TestRemoveEdge:
         assert code == 2
         assert "cut-edge" in err
 
+    # Labels 0 1 2 4 3 ... take ids in order of first appearance, so label
+    # "3" is id 4 and label "4" is id 3: ids would name the wrong pair.
+    CUBE_ORDER = "0 1\n0 2\n0 4\n1 3\n1 5\n2 3\n2 6\n4 5\n4 6\n3 7\n5 7\n6 7\n"
+
+    def test_missing_edge_is_named_by_labels(self, capsys, monkeypatch):
+        feed_stdin(monkeypatch, self.CUBE_ORDER)
+        code, _, err = run(capsys, "remove-edge", "--edge", "0", "3")
+        assert code == 2
+        assert err == "error: (0, 3) is not an edge\n"
+
+    def test_labelled_edge_is_found(self, capsys, monkeypatch):
+        feed_stdin(monkeypatch, self.CUBE_ORDER)
+        code, out, _ = run(capsys, "remove-edge", "--edge", "4", "0")
+        assert code == 0
+        assert out.startswith("edge: 0 4\n")
+
+    def test_cut_edge_is_named_by_labels(self, capsys, monkeypatch):
+        feed_stdin(monkeypatch, "hub x\nx y\ny hub\ny tail\n")
+        code, _, err = run(capsys, "remove-edge", "--edge", "tail", "y")
+        assert code == 2
+        assert err == "error: (tail, y) is a cut-edge; removal would disconnect the graph\n"
+
 
 class TestWalkRegular:
     def test_cycle_json(self, tmp_path, capsys):
@@ -153,6 +175,7 @@ class TestWalkRegular:
             "is_walk_regular": True,
             "first_violation": None,
             "checked_k_max": 5,
+            "labels": ["0", "1", "5", "2", "3", "4"],
         }
 
     def test_star_fails_degrees(self, capsys, monkeypatch):
@@ -175,6 +198,22 @@ class TestWalkRegular:
         assert document["is_walk_regular"] is False
         assert document["first_violation"] == {"k": 3, "x": 0, "y": 3}
         assert document["checked_k_max"] == 2
+
+    def test_witness_text_names_labels(self, capsys, monkeypatch):
+        # The uneven cubic with vertex v labelled "v" + str(7 - v): the labels
+        # v7, v6, v5, v4 take ids 0..3, so the witness ids (0, 3) print as v7, v4.
+        edges = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (3, 7), (4, 6), (4, 7),
+                 (5, 6), (5, 7)]
+        feed_stdin(monkeypatch, "".join(f"v{7 - a} v{7 - b}\n" for a, b in edges))
+        code, out, _ = run(capsys, "walk-regular")
+        assert code == 0
+        assert "first_violation: k=3 x=v7 y=v4\n" in out
+        feed_stdin(monkeypatch, "".join(f"v{7 - a} v{7 - b}\n" for a, b in edges))
+        code, out, _ = run(capsys, "walk-regular", "--json")
+        document = json.loads(out)
+        witness = document["first_violation"]
+        assert document["labels"][witness["x"]] == "v7"
+        assert document["labels"][witness["y"]] == "v4"
 
 
 class TestMcVerify:

@@ -133,6 +133,12 @@ class TestFormat:
             assert text == "1\n"
             assert parse_edge_list(text).labels == ("0",)
 
+    def test_singleton_labels_may_come_as_a_list(self):
+        singleton = build_network(1, [])
+        assert format_edge_list(singleton, ["0"]) == "1\n"
+        with pytest.raises(BadParameter, match="label 'x' of an edgeless one-vertex network"):
+            format_edge_list(singleton, ["x"])
+
 
 class TestRoundTrip:
     def test_generated_graph(self):

@@ -113,6 +113,23 @@ class TestPetersen:
         assert np.all(np.diag(cubed) == 0)
 
 
+class TestSizeArgument:
+    @pytest.mark.parametrize("generate, size", [(cycle, 3.5), (hypercube, 2.5), (unitary_cayley, "5"),
+                                               (complete, 4.0), (cycle, None)],
+                             ids=["cycle-float", "hypercube-float", "unitary_cayley-str",
+                                  "complete-integral-float", "cycle-none"])
+    def test_non_integer_is_refused(self, generate, size):
+        with pytest.raises(BadParameter, match=r"^[nd] must be an integer, got "):
+            generate(size)
+
+    @pytest.mark.parametrize("generate", [cycle, complete, hypercube, unitary_cayley],
+                             ids=lambda f: f.__name__)
+    def test_numpy_integer_is_accepted(self, generate):
+        net = generate(np.int64(4))
+        assert net == generate(4)
+        assert type(net.vertex_count) is int
+
+
 class TestTotient:
     @pytest.mark.parametrize("n", range(1, 200))
     def test_matches_gcd_count(self, n):

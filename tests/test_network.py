@@ -13,8 +13,15 @@ from ohmwalk import (
     NoSuchEdge,
     WouldDisconnect,
     build_network,
+    check_walk_regular,
+    complete,
+    cycle,
+    hypercube,
+    petersen,
+    unitary_cayley,
 )
 from support import (
+    CUBIC_UNEVEN_TRIANGLES,
     WEIGHTED_TRIANGLE,
     connected_graphs_on,
     random_corpus,
@@ -33,6 +40,51 @@ def triangle():
 
 def path3():
     return build_network(3, [(0, 1, 1), (1, 2, 1)])
+
+
+def bridges_by_union_find(net):
+    """The edges whose removal leaves the rest disconnected, by union-find."""
+    pairs = [(a, b) for a, b, _ in net.edges]
+    return {e for e in pairs if not union_find_connected(net.vertex_count, [f for f in pairs if f != e])}
+
+
+def cycles_trees_and_chords(rng, n_max=60):
+    """A random unit graph grown from blocks, with its vertex ids shuffled.
+
+    Blocks are long cycles sharing a vertex or hung on a bridge path,
+    pendant trees, copies of Petersen or a hypercube, and chords between
+    earlier vertices, which close cycles across the breadth-first layers.
+    """
+    edges, n = [], 1
+
+    def attach(block_n, block_edges, anchor):
+        nonlocal n
+        edges.extend((a + n, b + n) for a, b in block_edges)
+        edges.append((anchor, n))
+        n += block_n
+
+    while n < n_max - 16:
+        anchor = int(rng.integers(n))
+        kind = int(rng.integers(5))
+        if kind == 0:  # a cycle through the anchor
+            length = int(rng.integers(3, 16))
+            ring = [anchor, *range(n, n + length - 1)]
+            edges.extend(zip(ring, ring[1:] + ring[:1]))
+            n += length - 1
+        elif kind == 1:  # a pendant tree
+            size = int(rng.integers(1, 7))
+            attach(size, [(int(rng.integers(v)), v) for v in range(1, size)], anchor)
+        elif kind == 2:  # Petersen or a hypercube, hung on one edge
+            family = petersen() if rng.integers(2) else hypercube(int(rng.integers(2, 5)))
+            attach(family.vertex_count, [(a, b) for a, b, _ in family.edges], anchor)
+        else:  # a chord
+            other = int(rng.integers(n))
+            if other != anchor and (min(anchor, other), max(anchor, other)) not in {
+                (min(a, b), max(a, b)) for a, b in edges
+            }:
+                edges.append((anchor, other))
+    shuffled = rng.permutation(n)
+    return build_network(n, [(int(shuffled[a]), int(shuffled[b])) for a, b in edges])
 
 
 class TestBuild:
@@ -171,6 +223,15 @@ class TestCutEdges:
         with pytest.raises(NoSuchEdge):
             path3().is_cut_edge(0, 2)
 
+    def test_matches_remove_and_check_oracle_on_grown_graphs(self):
+        rng = np.random.default_rng(7129)
+        nets = [cycles_trees_and_chords(rng) for _ in range(40)]
+        nets += [petersen(), hypercube(4), cycle(31), complete(6), unitary_cayley(12)]
+        assert max(net.vertex_count for net in nets) >= 55
+        assert sum(0 < len(bridges_by_union_find(net)) < net.edge_count for net in nets) >= 30
+        for net in nets:
+            assert net._bridges == bridges_by_union_find(net), net.edges
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_remove_and_check_oracle_exhaustively(self, n):
         for edges in connected_graphs_on(n):
@@ -215,6 +276,30 @@ class TestRemoveEdge:
                 assert reduced == validated
                 assert hash(reduced) == hash(validated)
                 assert np.array_equal(reduced._laplacian, validated._laplacian)
+
+    def test_trusted_result_reads_its_tree_like_a_validated_one(self, corpus):
+        # The trusted result skips the connectivity check, so its tree is
+        # built on first use, by the cut-edges or the certificate.
+        for net in corpus[:25]:
+            for a, b, _ in net.edges[:: max(1, net.edge_count // 4)]:
+                if net.is_cut_edge(a, b):
+                    continue
+                reduced = net.remove_edge(a, b)
+                assert "_tree" not in vars(reduced)
+                validated = Network(net.vertex_count, reduced.edges)
+                assert reduced._bridges == validated._bridges == bridges_by_union_find(validated)
+                assert reduced._tree == validated._tree
+        # A regular graph plus one chord, less that chord, is a trusted
+        # regular network, whose certificate reads the tree's depth.
+        for regular in [petersen(), hypercube(4), unitary_cayley(12), cycle(9),
+                        build_network(8, CUBIC_UNEVEN_TRIANGLES)]:
+            a, b = next((a, b) for a in range(regular.vertex_count)
+                        for b in range(a + 1, regular.vertex_count) if not regular.has_edge(a, b))
+            reduced = build_network(regular.vertex_count, [*regular.edges, (a, b)]).remove_edge(a, b)
+            assert "_tree" not in vars(reduced)
+            assert check_walk_regular(reduced) == check_walk_regular(regular)
+            assert "_tree" in vars(reduced)
+            assert reduced._tree == regular._tree
 
     def test_refusals_keep_their_messages(self):
         net = path3()

@@ -240,6 +240,40 @@ class TestAgainstPythonInts:
         assert check_walk_regular(net) == walk_regular_by_python_ints(net)
 
 
+def moore_fewest_roots(degree, n):
+    """Least diameter plus one that the Moore bound allows: a vertex reaches
+    at most ``d (d-1)^(i-1)`` others at distance ``i``."""
+    reach, layer, least = 1, degree, 1
+    while reach < n:
+        reach, layer, least = reach + layer, layer * (degree - 1), least + 1
+    return least
+
+
+def distinct_eigenvalue_count(net):
+    adjacency = np.zeros((net.vertex_count, net.vertex_count))
+    for a, b, _ in net.edges:
+        adjacency[a, b] = adjacency[b, a] = 1.0
+    return 1 + int(np.count_nonzero(np.diff(np.linalg.eigvalsh(adjacency)) > 1e-6))
+
+
+class TestBreadthFirstBound:
+    """The certificate's least ``t`` is the breadth-first depth plus one."""
+
+    def test_lies_between_the_moore_bound_and_the_distinct_eigenvalues(self):
+        families = [*CERTIFIED, build_network(8, CUBIC_UNEVEN_TRIANGLES), complete(24), hypercube(7),
+                    unitary_cayley(64), cycle(66)]
+        blown_up = map(blow_up, random_regular_corpus(count=40, seed=6011), [2] * 40)
+        for net in (*random_regular_corpus(), *blown_up, *families):
+            parent, depth = net._tree
+            graph = nx.Graph([(a, b) for a, b, _ in net.edges])
+            assert max(depth) == nx.eccentricity(graph, 0)
+            assert all(net.has_edge(v, p) and depth[v] == depth[p] + 1
+                       for v, p in enumerate(parent) if v)
+            degree = net.degree(0)
+            least = max(depth) + 1
+            assert moore_fewest_roots(degree, net.vertex_count) <= least <= distinct_eigenvalue_count(net)
+
+
 class TestModuli:
     @pytest.mark.parametrize("degree, n", [(1, 3), (2, 64), (3, 8), (7, 128), (23, 24), (63, 64),
                                            (255, 256)])
