@@ -66,9 +66,6 @@ class EdgeRef:
         object.__setattr__(self, "a", min(a, b))
         object.__setattr__(self, "b", max(a, b))
 
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True)
 class Network:
@@ -81,8 +78,8 @@ class Network:
 
     Construction validates everything: integer vertex ids in range (any
     ``operator.index`` type; floats such as ``1.0`` are refused), no
-    self-loops, no duplicate pairs, conductances positive and finite, and
-    connectivity.
+    self-loops, no duplicate pairs, conductances numeric (strings such as
+    ``"2.5"`` are refused), positive and finite, and connectivity.
     Prefer :func:`build_network` for building from raw edge lists.
     """
 
@@ -109,6 +106,9 @@ class Network:
             if a == b:
                 raise InvalidEdge(f"self-loop at vertex {a}")
             try:
+                # float() would parse text; the type test keeps floats fast.
+                if type(c) is not float and isinstance(c, (str, bytes, bytearray)):
+                    raise TypeError
                 c = float(c)
             except (TypeError, ValueError):
                 raise InvalidEdge(f"edge ({a}, {b}) has non-numeric conductance {c!r}") from None

@@ -2,7 +2,7 @@
 
 A graph is walk-regular when, for every length ``k >= 2``, all vertices
 carry the same number of closed walks of length ``k`` (the diagonal of the
-k-th adjacency power is constant). Checking ``k`` below the degree ``t`` of
+k-th adjacency power is constant). Checking ``k`` up to the degree ``t`` of
 a monic polynomial ``p`` with ``p(A) = 0`` suffices: every higher power of
 the adjacency matrix is then an integer combination of ``I, A, ..., A^(t-1)``,
 so constant diagonals there force constancy for all k. The minimal
@@ -11,36 +11,43 @@ polynomial of the symmetric 0/1 matrix ``A`` is ``prod(x - theta)`` over its
 so ``t`` can be far below ``n``: 7 on the hypercube ``Q_6``, 2 on a complete
 graph. The Cayley-Hamilton polynomial always gives ``t = n``.
 
-The certificate reads a candidate ``p`` off the float spectrum, rounds its
-coefficients, scans ``k < t``, and then proves ``p(A) = 0`` exactly by
-Horner's rule. A mismatch the scan finds is exact and is the first one at
-any length, so it needs no proof. When the candidate is not near-integer,
-the proof fails, or the short route would not save matrix products over the
-plain scan of every ``k < n``, that plain scan decides instead. No float
-tolerance enters the verdict: a wrong candidate only costs time.
+One Horner pass ``acc <- acc @ A + c_i I`` both scans the counts and proves
+``p(A) = 0``. After the product that raises it to degree ``k``, the
+accumulator is ``A^k`` plus lower powers whose diagonals the pass already
+found constant, so its diagonal is constant exactly when the closed-walk
+counts of length ``k`` are. A mismatch found at some ``k <= t`` is therefore
+exact and the first one at any length, whatever ``p`` is; a pass without
+one ends with ``p(A)``, which must vanish. The certificate reads a candidate
+``p`` off the float spectrum and rounds its coefficients. When the candidate
+is not near-integer, its pass neither finds a mismatch nor ends at zero, or
+it would not save matrix products, the plain scan decides instead: the same
+pass on ``x^(n-1)``, which checks every ``k < n``. No float tolerance
+enters the verdict: a wrong candidate only costs time.
 
 The counts grow like ``d^k`` on a d-regular graph, so they are compared
 modulo a set of primes instead of as integers, and the comparison stays
 exact by the Chinese remainder theorem. A closed-walk count of length
-``k < t`` lies in ``[0, d^(t-1)]``, and every entry of ``p(A)`` has
-magnitude at most ``sum |c_i| d^i``. Once the product of the primes exceeds
-``max(d^(t-1), sum |c_i| d^i)``, counts that agree modulo every prime are
-equal, counts that differ modulo any prime differ, and ``p(A)`` vanishing
-modulo every prime vanishes: verdict and witness are the exact ones. The
-plain scan needs primes past ``d^(n-1)``, and the short route takes a prefix
-of the same primes. When ``d^(n-1)`` is past the whole table, the plain scan
-cannot run, and the short route alone certifies over the table's leading
-primes, or the certificate refuses. The memory limit below is checked
-against the primes a scan will use before its residues are allocated.
+``k <= t`` lies in ``[0, d^t]``, and every entry of ``p(A)`` has magnitude
+at most ``sum |c_i| d^i``, which the leading 1 takes to at least ``d^t``.
+Once the product of the primes exceeds that sum, counts that agree modulo
+every prime are equal, counts that differ modulo any prime differ, and
+``p(A)`` vanishing modulo every prime vanishes: verdict and witness are the
+exact ones. The plain scan needs primes past ``d^(n-1)``, and the short
+route takes a prefix of the same primes. When ``d^(n-1)`` is past the whole
+table, the plain scan cannot run, and the short route alone certifies over
+the table's leading primes, or the certificate refuses. The memory limit
+below is checked against the primes a pass will use before its residues are
+allocated.
 
-Residues are carried in float64 so that every power step is one BLAS
-matrix product over the stack of primes. An entry of ``power @ A`` sums at
-most ``d`` entries of ``power``, because ``A`` is a 0/1 matrix with ``d``
-ones per row, so the product is exact while ``d`` times the largest entry
-stays below ``2^53``. The stack is reduced modulo its primes whenever the
-next product could pass that bound; a prime ``p`` is usable only while
-``d * p < 2^53``. Horner's rule adds ``c_i mod p`` to the diagonal after each
-product, which needs ``(d + 1) * p < 2^53`` of its primes.
+Residues are carried in float64 so that every Horner step is one BLAS
+matrix product over the stack of primes. An entry of ``acc @ A`` sums at
+most ``d`` entries of ``acc``, because ``A`` is a 0/1 matrix with ``d`` ones
+per row, and the step then adds a coefficient residue to the diagonal, so
+the step is exact while ``d`` times the largest entry plus the largest
+residue stays below ``2^53``. The stack is reduced modulo its primes
+whenever the next step could pass that bound, so a prime ``p`` is usable
+only while ``(d + 1) * p < 2^53``. On ``x^(n-1)`` every residue is 0 and the
+stack is reduced only when the product alone could pass the bound.
 """
 
 from __future__ import annotations
@@ -89,7 +96,7 @@ class WalkRegularityReport:
 
 # The 64 largest primes below 2^32. Their product exceeds 2^2047, which is
 # the largest count bound this module can certify: ``d^(n-1)`` on the plain
-# scan, ``max(d^(t-1), sum |c_i| d^i)`` on the short route.
+# scan, ``sum |c_i| d^i`` on the short route.
 _PRIMES = (
     4294967291, 4294967279, 4294967231, 4294967197, 4294967189, 4294967161,
     4294967143, 4294967111, 4294967087, 4294967029, 4294966997, 4294966981,
@@ -108,7 +115,7 @@ _PRIMES = (
 _EXACT_LIMIT = 2**53
 
 # Largest residue stack, ``primes * n * n`` float64 values, that the certificate
-# will allocate; each power step allocates one more of the same size. It is
+# will allocate; each Horner step allocates one more of the same size. It is
 # checked before the Laplacian is built, for the primes of the plain scan (of
 # which the short route uses a prefix) or, past the table, for the fewest the
 # short route could use given the breadth-first depth, and again for the short
@@ -124,27 +131,24 @@ _INTEGER_TOL = 1e-6
 _COEFFICIENT_LIMIT = 2**50
 
 
-def _moduli(degree: int, n: int) -> Optional[tuple[int, ...]]:
-    """Leading primes of the table whose product exceeds ``degree^(n-1)``,
-    or None when the whole table cannot exceed it.
+def _leading_primes(degree: int, bound: int, table: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """Leading primes of ``table`` whose product exceeds ``bound``, or None
+    when the table runs out first.
 
     Raises:
-        BadParameter: a needed prime ``p`` has ``degree * p >= 2^53``.
+        BadParameter: a needed prime ``p`` has ``(degree + 1) * p >= 2^53``.
     """
-    bound = degree ** (n - 1)
-    chosen: list[int] = []
     product = 1
-    for p in _PRIMES:
-        if product > bound:
-            break
-        if degree * p >= _EXACT_LIMIT:
+    for count, p in enumerate(table, start=1):
+        if (degree + 1) * p >= _EXACT_LIMIT:
             raise BadParameter(
                 f"degree {degree} is too large for exact float64 residues: "
-                f"degree * {p} reaches 2^53"
+                f"(degree + 1) * {p} reaches 2^53"
             )
-        chosen.append(p)
         product *= p
-    return tuple(chosen) if product > bound else None
+        if product > bound:
+            return table[:count]
+    return None
 
 
 def _beyond_table(degree: int, n: int) -> BadParameter:
@@ -165,41 +169,52 @@ def _admit(n: int, primes: tuple[int, ...]) -> None:
 
 
 def _scan(adjacency: np.ndarray, degree: int, primes: tuple[int, ...],
-          stop: int) -> Optional[WalkCountMismatch]:
-    """First ``(k, 0, y)`` whose closed-walk counts differ, for ``2 <= k < stop``.
+          coefficients: list[int]) -> tuple[Optional[WalkCountMismatch], bool]:
+    """One Horner pass ``acc <- acc @ A + c_i I`` of the monic polynomial
+    ``p`` with ``coefficients`` ``c_0..c_(t-1), 1``, modulo each of ``primes``.
 
-    Exact while the product of ``primes`` exceeds ``degree^(stop-1)``.
+    Returns the first ``(k, 0, y)`` whose closed-walk counts differ, for
+    ``2 <= k <= t``, and whether ``p(A)`` vanishes modulo every prime, which
+    is only decided when there is no such ``(k, 0, y)``. Exact while the
+    product of ``primes`` exceeds ``sum |c_i| d^i``, and while every
+    ``|c_i| < 2^53``, so that the float64 residues ``c_i mod p`` are exact.
     """
     n = len(adjacency)
     moduli = np.array(primes, dtype=np.float64)[:, None]
-    power = np.repeat(adjacency[None], len(primes), axis=0)
-    largest = 1  # bound on every entry of ``power``
-    for k in range(2, stop):
-        if degree * largest >= _EXACT_LIMIT:
-            np.fmod(power, moduli[:, :, None], out=power)
+    residues = np.mod(np.array(coefficients[-2::-1], dtype=np.float64)[:, None, None], moduli)
+    top = int(residues.max())  # bound on every residue
+    acc = np.repeat(adjacency[None], len(primes), axis=0)  # the leading 1, times A
+    acc.reshape(len(primes), -1)[:, :: n + 1] += residues[0]
+    largest = 1 + top  # bound on every entry of ``acc``
+    for k, residue in enumerate(residues[1:], start=2):
+        # A product entry sums ``degree`` entries of ``acc``, at most one of
+        # them on the diagonal, where the residue is then added.
+        if degree * largest + top >= _EXACT_LIMIT:
+            np.fmod(acc, moduli[:, :, None], out=acc)
             largest = max(primes) - 1
-        power = (power.reshape(-1, n) @ adjacency).reshape(power.shape)
-        largest *= degree
-        diagonal = np.fmod(power.diagonal(axis1=1, axis2=2), moduli)
-        differs = (diagonal != diagonal[:, :1]).any(axis=0)
+        acc = (acc.reshape(-1, n) @ adjacency).reshape(acc.shape)
+        acc.reshape(len(primes), -1)[:, :: n + 1] += residue
+        largest = degree * largest + top
+        diagonal = np.fmod(acc.diagonal(axis1=1, axis2=2), moduli)
+        differs = diagonal != diagonal[:, :1]
         if differs.any():
-            return WalkCountMismatch(k=k, x=0, y=int(differs.argmax()))
-    return None
+            return WalkCountMismatch(k=k, x=0, y=int(differs.any(axis=0).argmax())), False
+    return None, not np.fmod(acc, moduli[:, :, None]).any()
 
 
 def _short_route(adjacency: np.ndarray, degree: int,
                  primes: Optional[tuple[int, ...]]) -> Optional[tuple[list[int], tuple[int, ...]]]:
-    """A candidate annihilating polynomial and the primes to check it with.
+    """A candidate annihilating polynomial and the primes to scan it with.
 
     The candidate is ``prod(x - theta)`` over the distinct eigenvalues of the
     float spectrum, with its coefficients ``c_0..c_(t-1), 1`` rounded to
-    integers; it is only a guess, which the caller proves. Its primes are
-    leading ones of the plain scan's ``primes``, or of the table when
-    ``primes`` is None because the plain scan is beyond it. None when the
-    coefficients are not near-integers below ``2^50``, those primes hold no
-    usable prefix whose product exceeds ``max(d^(t-1), sum |c_i| d^i)``, or
-    the route's ``2(t-1)`` products on that stack would not undercut the
-    plain scan's ``n - 2`` on its own.
+    integers; it is only a guess, which the caller's pass proves or drops.
+    Its primes are leading ones of the plain scan's ``primes``, or of the
+    table when ``primes`` is None because the plain scan is beyond it. None
+    when the coefficients are not near-integers below ``2^50``, those primes
+    hold no prefix whose product exceeds ``sum |c_i| d^i``, or the pass's
+    ``t - 1`` products on that stack would not undercut the plain scan's
+    ``n - 2`` on its own.
     """
     n = len(adjacency)
     full_cost = math.inf if primes is None else (n - 2) * len(primes)
@@ -208,7 +223,7 @@ def _short_route(adjacency: np.ndarray, degree: int,
         if not roots or theta - roots[-1] > _ROOT_GAP:
             roots.append(theta)
     t = len(roots)
-    if 2 * (t - 1) >= full_cost:  # not cheaper even with a single prime
+    if t - 1 >= full_cost:  # not cheaper even with a single prime
         return None
     coefficients = [1.0]  # lowest degree first
     for theta in roots:
@@ -219,48 +234,11 @@ def _short_route(adjacency: np.ndarray, degree: int,
     rounded = [round(c) for c in coefficients]
     if any(abs(c - r) > _INTEGER_TOL for c, r in zip(coefficients, rounded)):
         return None
-    bound = max(degree ** (t - 1), sum(abs(c) * degree**i for i, c in enumerate(rounded)))
-    short = _short_moduli(degree, bound, _PRIMES if primes is None else primes)
-    if short is None or 2 * (t - 1) * len(short) >= full_cost:
+    bound = sum(abs(c) * degree**i for i, c in enumerate(rounded))
+    short = _leading_primes(degree, bound, _PRIMES if primes is None else primes)
+    if short is None or (t - 1) * len(short) >= full_cost:
         return None
     return rounded, short
-
-
-def _short_moduli(degree: int, bound: int, primes: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """Leading ``primes`` whose product exceeds ``bound``, or None when they
-    run out or a needed one has ``(degree + 1) * p >= 2^53``."""
-    product = 1
-    for count, p in enumerate(primes, start=1):
-        if (degree + 1) * p >= _EXACT_LIMIT:
-            return None
-        product *= p
-        if product > bound:
-            return primes[:count]
-    return None
-
-
-def _annihilates(adjacency: np.ndarray, degree: int, coefficients: list[int],
-                 primes: tuple[int, ...]) -> bool:
-    """Whether ``p(A)`` vanishes modulo every prime, by Horner's rule
-    ``acc <- acc @ A + c_i I`` with each ``c_i`` reduced modulo each prime."""
-    n = len(adjacency)
-    moduli = np.array(primes, dtype=np.float64)[:, None, None]
-    residues = np.array([[[c % p] for p in primes] for c in reversed(coefficients[:-1])],
-                        dtype=np.float64)
-    top = max(primes) - 1  # bound on every residue
-    acc = np.repeat(adjacency[None], len(primes), axis=0)  # the leading 1, times A
-    acc.reshape(len(primes), -1)[:, :: n + 1] += residues[0]
-    largest = 1 + top  # bound on every entry of ``acc``
-    for residue in residues[1:]:
-        # A product entry sums ``degree`` entries of ``acc``, at most one of
-        # them on the diagonal, where the residue is then added.
-        if degree * largest + top >= _EXACT_LIMIT:
-            np.fmod(acc, moduli, out=acc)
-            largest = top
-        acc = (acc.reshape(-1, n) @ adjacency).reshape(acc.shape)
-        acc.reshape(len(primes), -1)[:, :: n + 1] += residue
-        largest = degree * largest + top
-    return not np.fmod(acc, moduli).any()
 
 
 def _first_violation(net: Network, degree: int) -> Optional[WalkCountMismatch]:
@@ -272,17 +250,17 @@ def _first_violation(net: Network, degree: int) -> Optional[WalkCountMismatch]:
     the table, and skips a spectrum the short route could not pay for.
 
     Raises:
-        BadParameter: the residue stack would pass ``MAX_RESIDUE_BYTES``, or
-            the plain scan is beyond the prime table and the short route
-            cannot certify.
+        BadParameter: the residue stack would pass ``MAX_RESIDUE_BYTES``, a
+            needed prime is too large for the degree, or the plain scan is
+            beyond the prime table and the short route cannot certify.
     """
     n = net.vertex_count
     fewest_roots = max(net._tree[1]) + 1
-    primes = _moduli(degree, n)
+    primes = _leading_primes(degree, degree ** (n - 1), _PRIMES)
     if primes is None:
         # Only the short route can certify, and it needs at least the primes
         # that exceed d^(t-1) for the least t.
-        primes_at_least = _short_moduli(degree, degree ** (fewest_roots - 1), _PRIMES)
+        primes_at_least = _leading_primes(degree, degree ** (fewest_roots - 1), _PRIMES)
         if primes_at_least is None:
             raise _beyond_table(degree, n)
         _admit(n, primes_at_least)
@@ -291,17 +269,18 @@ def _first_violation(net: Network, degree: int) -> Optional[WalkCountMismatch]:
     # Off the diagonal, a unit-conductance Laplacian is minus the adjacency.
     adjacency = (net._laplacian < 0.0).astype(np.float64)
     route = None
-    if primes is None or 2 * (fewest_roots - 1) < (n - 2) * len(primes):
+    if primes is None or fewest_roots - 1 < (n - 2) * len(primes):
         route = _short_route(adjacency, degree, primes)
     if route is not None:
         coefficients, short = route
         _admit(n, short)
-        violation = _scan(adjacency, degree, short, len(coefficients) - 1)
-        if violation is not None or _annihilates(adjacency, degree, coefficients, short):
+        violation, vanished = _scan(adjacency, degree, short, coefficients)
+        if violation is not None or vanished:
             return violation
     if primes is None:
         raise _beyond_table(degree, n)
-    return _scan(adjacency, degree, primes, n)
+    # x^(n-1) checks every k < n; A^(n-1) is not expected to vanish.
+    return _scan(adjacency, degree, primes, [0] * (n - 1) + [1])[0]
 
 
 def check_walk_regular(net: Network) -> WalkRegularityReport:

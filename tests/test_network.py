@@ -140,6 +140,13 @@ class TestBuild:
         with pytest.raises(InvalidEdge, match="non-numeric conductance 'x'"):
             Network(3, ((0, 1, "x"), (1, 2, 1.0)))
 
+    @pytest.mark.parametrize("text", ["2.5", b"2.5", bytearray(b"2.5")], ids=["str", "bytes", "bytearray"])
+    def test_string_conductances_are_refused_not_parsed(self, text):
+        with pytest.raises(InvalidEdge, match="non-numeric conductance"):
+            Network(2, ((0, 1, text),))
+        with pytest.raises(InvalidEdge, match="non-numeric conductance"):
+            build_network(2, [(0, 1, text)])
+
     def test_network_refuses_a_fractional_vertex_count(self):
         with pytest.raises(BadParameter, match="must be an integer, got 2.5"):
             Network(2.5, ((0, 1, 1.0),))
@@ -357,7 +364,8 @@ class TestAddPendant:
 
 class TestEdgeRef:
     def test_normalizes_order(self):
-        assert EdgeRef(3, 1).as_tuple() == (1, 3)
+        edge = EdgeRef(3, 1)
+        assert (edge.a, edge.b) == (1, 3)
 
     def test_rejects_degenerate(self):
         with pytest.raises(BadVertexId):
@@ -375,7 +383,7 @@ class TestEdgeRef:
 
     def test_stores_python_ints(self):
         edge = EdgeRef(np.int64(3), np.int32(1))
-        assert edge.as_tuple() == (1, 3)
+        assert (edge.a, edge.b) == (1, 3)
         assert type(edge.a) is int and type(edge.b) is int
 
 

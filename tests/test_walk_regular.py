@@ -107,16 +107,17 @@ def blow_up(net, m):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The ``stop`` of every residue scan the certificate runs."""
-    stops = []
+    """The polynomial degree of every Horner pass the certificate runs: ``t``
+    on the short route, ``n - 1`` on the plain scan."""
+    degrees = []
     scan = walk_regular._scan
 
-    def recording(adjacency, degree, primes, stop):
-        stops.append(stop)
-        return scan(adjacency, degree, primes, stop)
+    def recording(adjacency, degree, primes, coefficients):
+        degrees.append(len(coefficients) - 1)
+        return scan(adjacency, degree, primes, coefficients)
 
     monkeypatch.setattr(walk_regular, "_scan", recording)
-    return stops
+    return degrees
 
 
 class TestShortRoute:
@@ -136,13 +137,13 @@ class TestShortRoute:
         assert check_walk_regular(hypercube(5)).is_walk_regular
         assert scans == [6]
 
-    def test_primes_too_large_for_the_diagonal_term_are_refused(self, monkeypatch):
-        # 2 * p < 2^53 <= 3 * p: the scan of a 2-regular graph may use this
-        # prime, Horner's rule, which adds a residue to a product, may not.
-        monkeypatch.setattr(walk_regular, "_PRIMES", (4503599627370449,))
-        primes = walk_regular._moduli(2, 6)
-        assert primes == (4503599627370449,)
-        assert walk_regular._short_moduli(2, 66, primes) is None
+    def test_primes_too_large_for_the_diagonal_term_are_refused(self):
+        # 2 * p < 2^53 <= 3 * p: a product by a 2-regular adjacency stays
+        # exact, but each Horner step also adds a residue to the diagonal.
+        # The second prime has 3 * p < 2^53.
+        with pytest.raises(BadParameter, match=r"\(degree \+ 1\) \* 4503599627370449 reaches 2\^53"):
+            walk_regular._leading_primes(2, 2**5, (4503599627370449,))
+        assert walk_regular._leading_primes(2, 2**5, (3002399751580319,)) == (3002399751580319,)
 
     def test_violation_below_the_polynomial_degree_comes_from_the_short_scan(self, scans):
         # 16 vertices, 6-regular, six distinct eigenvalues: the scan stops at
@@ -165,16 +166,27 @@ class TestShortRoute:
 
         monkeypatch.setattr(walk_regular, "_short_route", perturbed)
         assert check_walk_regular(net) == walk_regular_by_python_ints(net)
-        assert len(scans) == 2 and scans[-1] == net.vertex_count
+        assert len(scans) == 2 and scans[-1] == net.vertex_count - 1
 
     def test_unproven_polynomial_never_certifies(self, scans, monkeypatch):
-        # x^2 leaves the short scan no walk length to check; only the proof
-        # that x^2 does not annihilate A keeps the k = 3 witness.
+        # x^2 checks only k = 2, where the counts agree; only the proof that
+        # x^2 does not annihilate A keeps the k = 3 witness.
         square = ([0, 0, 1], walk_regular._PRIMES[:1])
         monkeypatch.setattr(walk_regular, "_short_route", lambda *args: square)
         net = build_network(8, CUBIC_UNEVEN_TRIANGLES)
         assert check_walk_regular(net) == walk_regular_by_python_ints(net)
-        assert scans == [2, 8]
+        assert scans == [2, 7]
+
+    def test_violation_at_the_polynomial_degree_comes_from_the_one_pass(self, scans, monkeypatch):
+        # x^3 does not annihilate A, but its pass reaches k = 3 and finds the
+        # uneven triangle counts there, so no plain scan follows.
+        cube = ([0, 0, 0, 1], walk_regular._PRIMES[:1])
+        monkeypatch.setattr(walk_regular, "_short_route", lambda *args: cube)
+        net = build_network(8, CUBIC_UNEVEN_TRIANGLES)
+        report = check_walk_regular(net)
+        assert scans == [3]
+        assert report.first_violation == WalkCountMismatch(k=3, x=0, y=3)
+        assert report == walk_regular_by_python_ints(net)
 
     def test_coefficients_past_float_range_give_no_candidate(self):
         # prod(x - theta) over 100..399 overflows float64; rounding inf or
@@ -183,10 +195,14 @@ class TestShortRoute:
         assert walk_regular._short_route(diagonal, 100, walk_regular._PRIMES) is None
 
     def test_small_graphs_whose_scan_is_cheap_skip_it(self, scans):
-        # cycle(6) has four distinct eigenvalues: six products on the short
-        # route are not fewer than the full scan's four.
+        # cycle(4) has three distinct eigenvalues: two products on the short
+        # route are not fewer than the plain scan's two. cycle(6) has four:
+        # three products undercut the plain scan's four.
+        assert check_walk_regular(cycle(4)).is_walk_regular
+        assert scans == [3]
+        scans.clear()
         assert check_walk_regular(cycle(6)).is_walk_regular
-        assert scans == [6]
+        assert scans == [4]
 
 
 def random_regular_corpus(count: int = 240, seed: int = 4417):
@@ -205,11 +221,28 @@ def random_regular_corpus(count: int = 240, seed: int = 4417):
 
 
 class TestAgainstPythonInts:
-    def test_random_regular_reports_match(self):
+    def test_random_regular_reports_match(self, scans, monkeypatch):
+        # Most of these graphs have too many distinct eigenvalues for the
+        # short route, so the plain scan keeps its oracle coverage here: it is
+        # the pass that follows the candidate's, or the only one.
+        candidates = []
+        short_route = walk_regular._short_route
+
+        def counting(*args):
+            route = short_route(*args)
+            candidates.append(route is not None)
+            return route
+
+        monkeypatch.setattr(walk_regular, "_short_route", counting)
         corpus = random_regular_corpus()
         assert len(corpus) >= 200
+        plain = 0
         for net in corpus:
+            scans.clear()
+            candidates.clear()
             assert check_walk_regular(net) == walk_regular_by_python_ints(net), net.edges
+            plain += len(scans) > sum(candidates)
+        assert plain > len(corpus) // 2
 
     def test_reports_match_when_single_primes_collide(self, monkeypatch):
         # Counts often agree modulo one small prime while differing exactly, so
@@ -228,7 +261,7 @@ class TestAgainstPythonInts:
         for net in map(blow_up, random_regular_corpus(count=40, seed=6011), [2] * 40):
             scans.clear()
             assert check_walk_regular(net) == walk_regular_by_python_ints(net), net.edges
-            short += scans[0] < net.vertex_count
+            short += scans[0] < net.vertex_count - 1
         assert short >= 30
 
     @pytest.mark.parametrize(
@@ -278,9 +311,9 @@ class TestModuli:
     @pytest.mark.parametrize("degree, n", [(1, 3), (2, 64), (3, 8), (7, 128), (23, 24), (63, 64),
                                            (255, 256)])
     def test_product_exceeds_count_bound_and_products_stay_exact(self, degree, n):
-        primes = walk_regular._moduli(degree, n)
+        primes = walk_regular._leading_primes(degree, degree ** (n - 1), walk_regular._PRIMES)
         assert math.prod(primes) > degree ** (n - 1)
-        assert all(degree * p < 2**53 for p in primes)
+        assert all((degree + 1) * p < 2**53 for p in primes)
 
     def test_table_is_pairwise_coprime(self):
         assert all(math.gcd(p, q) == 1 for p, q in combinations(walk_regular._PRIMES, 2))
@@ -299,14 +332,14 @@ class TestModuli:
         # eigenvalues bound the short route by 28 575: one prime.
         monkeypatch.setattr(walk_regular, "_PRIMES", walk_regular._PRIMES[:2])
         net = hypercube(5)
-        assert walk_regular._moduli(5, 32) is None
+        assert walk_regular._leading_primes(5, 5**31, walk_regular._PRIMES) is None
         assert check_walk_regular(net) == walk_regular_by_python_ints(net)
         assert scans == [6]
 
     @pytest.mark.parametrize("n", [260, 300])
     def test_complete_graphs_past_the_table_certify(self, n, scans):
         # (n-1)^(n-1) passes the table's 2^2047; x^2 - (n-2) x - (n-1) needs one prime.
-        assert walk_regular._moduli(n - 1, n) is None
+        assert walk_regular._leading_primes(n - 1, (n - 1) ** (n - 1), walk_regular._PRIMES) is None
         report = check_walk_regular(complete(n))
         assert report.is_walk_regular and report.checked_k_max == n - 1
         assert scans == [2]
@@ -334,11 +367,16 @@ class TestModuli:
         assert "_laplacian" not in vars(net)
 
     def test_degree_beyond_float_exactness_raises(self, monkeypatch):
-        # 3 * p >= 2^53 for this prime just below 2^52; 2 * p is still exact.
-        monkeypatch.setattr(walk_regular, "_PRIMES", (4503599627370449,))
+        # 3 * p < 2^53 <= 4 * p for this prime: a Horner step of a 2-regular
+        # graph stays exact, one of a 3-regular graph does not.
+        monkeypatch.setattr(walk_regular, "_PRIMES", (3002399751580319,))
         with pytest.raises(BadParameter, match="2\\^53"):
             check_walk_regular(hypercube(3))
         assert check_walk_regular(cycle(6)).is_walk_regular
+        # 3 * p >= 2^53 for this prime just below 2^52.
+        monkeypatch.setattr(walk_regular, "_PRIMES", (4503599627370449,))
+        with pytest.raises(BadParameter, match="2\\^53"):
+            check_walk_regular(cycle(6))
 
     def test_residue_memory_is_refused_before_allocating(self, monkeypatch):
         # hypercube(3): one prime, an 8 x 8 stack of 512 bytes.
@@ -351,12 +389,12 @@ class TestModuli:
         assert check_walk_regular(net).is_walk_regular
 
     def test_default_memory_limit_admits_q7_and_refuses_cycle_2000(self):
-        def stack_bytes(degree, n):
-            return len(walk_regular._moduli(degree, n)) * n * n * 8
+        def primes(degree, n):
+            return walk_regular._leading_primes(degree, degree ** (n - 1), walk_regular._PRIMES)
 
-        assert stack_bytes(7, 128) == 1.5 * 2**20
-        assert len(walk_regular._moduli(2, 2000)) == 63
-        assert stack_bytes(2, 2000) > walk_regular.MAX_RESIDUE_BYTES
+        assert len(primes(7, 128)) * 128 * 128 * 8 == 1.5 * 2**20
+        assert len(primes(2, 2000)) == 63
+        assert len(primes(2, 2000)) * 2000 * 2000 * 8 > walk_regular.MAX_RESIDUE_BYTES
 
     def test_irregular_graphs_never_reach_the_table(self, monkeypatch):
         monkeypatch.setattr(walk_regular, "_PRIMES", ())
