@@ -1,7 +1,8 @@
 """Constructors for the named graph families used as fixtures and oracles.
 
 All generators produce unit-conductance networks. A size argument may be
-any ``operator.index`` integer; anything else raises :class:`BadParameter`.
+any ``operator.index`` integer but ``bool``; anything else raises
+:class:`BadParameter`.
 """
 
 from __future__ import annotations

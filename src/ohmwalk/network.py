@@ -38,11 +38,21 @@ __all__ = ["Network", "EdgeRef", "build_network"]
 
 _Report = TypeVar("_Report")
 
+# float() converts text and booleans, which are not conductances.
+_NOT_CONDUCTANCES = (str, bytes, bytearray, bool, np.bool_)
+
+
+def _index(value) -> int:
+    """``operator.index(value)``, refusing booleans too with TypeError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError
+    return operator.index(value)
+
 
 def _require_integer(value, name: str) -> int:
-    """``value`` as a Python int (any ``operator.index`` type), else :class:`BadParameter`."""
+    """``value`` as a Python int (any ``operator.index`` type but ``bool``), else :class:`BadParameter`."""
     try:
-        return operator.index(value)
+        return _index(value)
     except TypeError:
         raise BadParameter(f"{name} must be an integer, got {value!r}") from None
 
@@ -56,7 +66,7 @@ class EdgeRef:
 
     def __post_init__(self):
         try:
-            a, b = operator.index(self.a), operator.index(self.b)
+            a, b = _index(self.a), _index(self.b)
         except TypeError:
             raise BadVertexId(f"vertex ids must be integers, got ({self.a!r}, {self.b!r})") from None
         if a == b:
@@ -77,9 +87,10 @@ class Network:
             ``a < b``, sorted lexicographically. Treat as read-only.
 
     Construction validates everything: integer vertex ids in range (any
-    ``operator.index`` type; floats such as ``1.0`` are refused), no
-    self-loops, no duplicate pairs, conductances numeric (strings such as
-    ``"2.5"`` are refused), positive and finite, and connectivity.
+    ``operator.index`` type; floats such as ``1.0`` and booleans are
+    refused), no self-loops, no duplicate pairs, conductances numeric
+    (strings such as ``"2.5"`` and booleans are refused), positive and
+    finite, and connectivity.
     Prefer :func:`build_network` for building from raw edge lists.
     """
 
@@ -97,17 +108,18 @@ class Network:
                 a, b, c = edge
             except (TypeError, ValueError):
                 raise InvalidEdge(f"expected (a, b, conductance) triple, got {edge!r}") from None
-            try:
-                a, b = operator.index(a), operator.index(b)
-            except TypeError:
-                raise BadVertexId(f"vertex ids must be integers, got ({a!r}, {b!r})") from None
+            if type(a) is not int or type(b) is not int:  # plain ints skip the conversion
+                try:
+                    a, b = _index(a), _index(b)
+                except TypeError:
+                    raise BadVertexId(f"vertex ids must be integers, got ({a!r}, {b!r})") from None
             if not (0 <= a < n) or not (0 <= b < n):
                 raise BadVertexId(f"edge ({a}, {b}) references a vertex outside 0..{n - 1}")
             if a == b:
                 raise InvalidEdge(f"self-loop at vertex {a}")
             try:
-                # float() would parse text; the type test keeps floats fast.
-                if type(c) is not float and isinstance(c, (str, bytes, bytearray)):
+                # The type test keeps floats fast.
+                if type(c) is not float and isinstance(c, _NOT_CONDUCTANCES):
                     raise TypeError
                 c = float(c)
             except (TypeError, ValueError):
@@ -196,10 +208,11 @@ class Network:
         return all(c == 1.0 for _, _, c in self.edges)
 
     def _require_vertex(self, z: int) -> int:
-        try:
-            z = operator.index(z)
-        except TypeError:
-            raise BadVertexId(f"vertex id must be an integer, got {z!r}") from None
+        if type(z) is not int:
+            try:
+                z = _index(z)
+            except TypeError:
+                raise BadVertexId(f"vertex id must be an integer, got {z!r}") from None
         if not 0 <= z < self.vertex_count:
             raise BadVertexId(f"vertex {z} outside 0..{self.vertex_count - 1}")
         return z

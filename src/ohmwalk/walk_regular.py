@@ -17,12 +17,13 @@ accumulator is ``A^k`` plus lower powers whose diagonals the pass already
 found constant, so its diagonal is constant exactly when the closed-walk
 counts of length ``k`` are. A mismatch found at some ``k <= t`` is therefore
 exact and the first one at any length, whatever ``p`` is; a pass without
-one ends with ``p(A)``, which must vanish. The certificate reads a candidate
-``p`` off the float spectrum and rounds its coefficients. When the candidate
-is not near-integer, its pass neither finds a mismatch nor ends at zero, or
-it would not save matrix products, the plain scan decides instead: the same
-pass on ``x^(n-1)``, which checks every ``k < n``. No float tolerance
-enters the verdict: a wrong candidate only costs time.
+one ends with ``p(A)``, which must vanish, and a pass that reaches degree
+``n - 1`` has checked every ``k < n``, which Cayley-Hamilton makes enough.
+The certificate plans two passes: one on a candidate ``p`` read off the
+float spectrum, with its coefficients rounded, and the plain scan on
+``x^(n-1)``. No float tolerance enters the verdict: a wrong candidate only
+costs time, as its pass neither finds a mismatch nor ends at zero and the
+plain scan decides instead.
 
 The counts grow like ``d^k`` on a d-regular graph, so they are compared
 modulo a set of primes instead of as integers, and the comparison stays
@@ -32,12 +33,13 @@ at most ``sum |c_i| d^i``, which the leading 1 takes to at least ``d^t``.
 Once the product of the primes exceeds that sum, counts that agree modulo
 every prime are equal, counts that differ modulo any prime differ, and
 ``p(A)`` vanishing modulo every prime vanishes: verdict and witness are the
-exact ones. The plain scan needs primes past ``d^(n-1)``, and the short
-route takes a prefix of the same primes. When ``d^(n-1)`` is past the whole
-table, the plain scan cannot run, and the short route alone certifies over
-the table's leading primes, or the certificate refuses. The memory limit
-below is checked against the primes a pass will use before its residues are
-allocated.
+exact ones. Each pass is planned the same way: its count bound, the
+table's leading primes whose product exceeds it, and a cost of ``t - 1``
+products on a stack of that many primes. The candidate's pass runs first
+only when it costs less than the plain scan. When ``d^(n-1)`` is past the
+whole table, the plain scan cannot run, and the candidate's pass alone
+certifies, or the certificate refuses. The memory limit below is checked
+against the primes a pass will use before its residues are allocated.
 
 Residues are carried in float64 so that every Horner step is one BLAS
 matrix product over the stack of primes. An entry of ``acc @ A`` sums at
@@ -52,7 +54,6 @@ stack is reduced only when the product alone could pass the bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -85,7 +86,9 @@ class WalkRegularityReport:
     ``first_violation`` is set only when the graph is regular but fails the
     walk-count test; an irregular degree sequence is reported through
     ``is_regular`` alone. ``checked_k_max`` is the largest walk length whose
-    diagonal was verified constant.
+    diagonal is known constant: ``k - 1`` below a violation, and ``n - 1`` on
+    a walk-regular graph, verified up to the degree ``t`` of the polynomial
+    whose pass decided and implied beyond it by ``p(A) = 0``.
     """
 
     is_regular: bool
@@ -95,8 +98,8 @@ class WalkRegularityReport:
 
 
 # The 64 largest primes below 2^32. Their product exceeds 2^2047, which is
-# the largest count bound this module can certify: ``d^(n-1)`` on the plain
-# scan, ``sum |c_i| d^i`` on the short route.
+# the largest count bound ``sum |c_i| d^i`` of a pass this module can
+# certify; it is ``d^(n-1)`` on the plain scan.
 _PRIMES = (
     4294967291, 4294967279, 4294967231, 4294967197, 4294967189, 4294967161,
     4294967143, 4294967111, 4294967087, 4294967029, 4294966997, 4294966981,
@@ -116,16 +119,16 @@ _EXACT_LIMIT = 2**53
 
 # Largest residue stack, ``primes * n * n`` float64 values, that the certificate
 # will allocate; each Horner step allocates one more of the same size. It is
-# checked before the Laplacian is built, for the primes of the plain scan (of
-# which the short route uses a prefix) or, past the table, for the fewest the
-# short route could use given the breadth-first depth, and again for the short
-# route's own primes. The largest graph of the benchmark, Q_7, needs 1.5 MiB,
-# and of the test suite, Q_8, 12 MiB.
+# checked before the Laplacian is built, for the primes of the plain scan or,
+# past the table, for the fewest a pass could use given the breadth-first
+# depth, and again for each pass's own primes before it runs. The largest
+# graph of the benchmark, Q_7, needs 1.5 MiB, and of the test suite, Q_8,
+# 12 MiB.
 MAX_RESIDUE_BYTES = 256 * 2**20
 
 # Eigenvalues of the adjacency closer than this are taken as one root of the
 # candidate polynomial, whose float coefficients must lie this close to
-# integers below the limit. A wrong guess only costs the fallback scan.
+# integers below the limit. A wrong guess only costs the plain scan.
 _ROOT_GAP = 1e-6
 _INTEGER_TOL = 1e-6
 _COEFFICIENT_LIMIT = 2**50
@@ -202,29 +205,18 @@ def _scan(adjacency: np.ndarray, degree: int, primes: tuple[int, ...],
     return None, not np.fmod(acc, moduli[:, :, None]).any()
 
 
-def _short_route(adjacency: np.ndarray, degree: int,
-                 primes: Optional[tuple[int, ...]]) -> Optional[tuple[list[int], tuple[int, ...]]]:
-    """A candidate annihilating polynomial and the primes to scan it with.
+def _candidate(adjacency: np.ndarray) -> Optional[list[int]]:
+    """A candidate annihilating polynomial, read off the float spectrum.
 
-    The candidate is ``prod(x - theta)`` over the distinct eigenvalues of the
-    float spectrum, with its coefficients ``c_0..c_(t-1), 1`` rounded to
-    integers; it is only a guess, which the caller's pass proves or drops.
-    Its primes are leading ones of the plain scan's ``primes``, or of the
-    table when ``primes`` is None because the plain scan is beyond it. None
-    when the coefficients are not near-integers below ``2^50``, those primes
-    hold no prefix whose product exceeds ``sum |c_i| d^i``, or the pass's
-    ``t - 1`` products on that stack would not undercut the plain scan's
-    ``n - 2`` on its own.
+    It is ``prod(x - theta)`` over the distinct eigenvalues, with its
+    coefficients ``c_0..c_(t-1), 1`` rounded to integers; it is only a
+    guess, which a pass proves or drops. None when the coefficients are not
+    near-integers below ``2^50``.
     """
-    n = len(adjacency)
-    full_cost = math.inf if primes is None else (n - 2) * len(primes)
     roots: list[float] = []
     for theta in np.linalg.eigvalsh(adjacency).tolist():  # ascending
         if not roots or theta - roots[-1] > _ROOT_GAP:
             roots.append(theta)
-    t = len(roots)
-    if t - 1 >= full_cost:  # not cheaper even with a single prime
-        return None
     coefficients = [1.0]  # lowest degree first
     for theta in roots:
         coefficients = [low - theta * high
@@ -234,53 +226,60 @@ def _short_route(adjacency: np.ndarray, degree: int,
     rounded = [round(c) for c in coefficients]
     if any(abs(c - r) > _INTEGER_TOL for c, r in zip(coefficients, rounded)):
         return None
-    bound = sum(abs(c) * degree**i for i, c in enumerate(rounded))
-    short = _leading_primes(degree, bound, _PRIMES if primes is None else primes)
-    if short is None or (t - 1) * len(short) >= full_cost:
-        return None
-    return rounded, short
+    return rounded
+
+
+def _plan(coefficients: list[int], degree: int) -> Optional[tuple[int, list[int], tuple[int, ...]]]:
+    """``(cost, coefficients, primes)`` of a pass over the monic polynomial
+    with ``coefficients`` ``c_0..c_(t-1), 1``.
+
+    Its primes are the leading ones of the table whose product exceeds the
+    count bound ``sum |c_i| d^i``, and its cost is its ``t - 1`` matrix
+    products on a stack of that many primes. None when the table runs out
+    first.
+    """
+    bound = sum(abs(c) * degree**i for i, c in enumerate(coefficients) if c)
+    primes = _leading_primes(degree, bound, _PRIMES)
+    return None if primes is None else ((len(coefficients) - 2) * len(primes), coefficients, primes)
 
 
 def _first_violation(net: Network, degree: int) -> Optional[WalkCountMismatch]:
     """First ``(k, 0, y)`` whose closed-walk counts differ, for ``2 <= k < n``.
 
+    Two passes are planned: the plain scan on ``x^(n-1)``, whose count
+    bound is ``d^(n-1)``, and the candidate's. The cheaper runs first, the
+    plain scan on a tie. A pass decides when it finds a mismatch or proves
+    ``p(A) = 0``; the plain scan, which checks every ``k < n``, decides
+    whatever it ends at. A pass whose count bound is past the table has no
+    plan, so there only the candidate's pass can run.
+
     A connected graph has more distinct adjacency eigenvalues ``t`` than its
-    diameter (Brouwer & Haemers, *Spectra of Graphs*, 2012, ch. 1), so the
-    breadth-first depth plus one is a least ``t``: it bounds the primes past
-    the table, and skips a spectrum the short route could not pay for.
+    diameter (Brouwer & Haemers, *Spectra of Graphs*, 2012, ch. 1), so past
+    the table every pass needs at least the primes past ``d^depth`` of the
+    breadth-first tree, and the residue stack is admitted for those before
+    the Laplacian is built.
 
     Raises:
         BadParameter: the residue stack would pass ``MAX_RESIDUE_BYTES``, a
-            needed prime is too large for the degree, or the plain scan is
-            beyond the prime table and the short route cannot certify.
+            needed prime is too large for the degree, or no pass within the
+            prime table decides.
     """
     n = net.vertex_count
-    fewest_roots = max(net._tree[1]) + 1
-    primes = _leading_primes(degree, degree ** (n - 1), _PRIMES)
-    if primes is None:
-        # Only the short route can certify, and it needs at least the primes
-        # that exceed d^(t-1) for the least t.
-        primes_at_least = _leading_primes(degree, degree ** (fewest_roots - 1), _PRIMES)
-        if primes_at_least is None:
-            raise _beyond_table(degree, n)
-        _admit(n, primes_at_least)
-    else:
-        _admit(n, primes)
-    # Off the diagonal, a unit-conductance Laplacian is minus the adjacency.
-    adjacency = (net._laplacian < 0.0).astype(np.float64)
-    route = None
-    if primes is None or fewest_roots - 1 < (n - 2) * len(primes):
-        route = _short_route(adjacency, degree, primes)
-    if route is not None:
-        coefficients, short = route
-        _admit(n, short)
-        violation, vanished = _scan(adjacency, degree, short, coefficients)
-        if violation is not None or vanished:
-            return violation
-    if primes is None:
-        raise _beyond_table(degree, n)
-    # x^(n-1) checks every k < n; A^(n-1) is not expected to vanish.
-    return _scan(adjacency, degree, primes, [0] * (n - 1) + [1])[0]
+    plain = _plan([0] * (n - 1) + [1], degree)
+    least = plain[2] if plain else _leading_primes(degree, degree ** max(net._tree[1]), _PRIMES)
+    if least is not None:
+        _admit(n, least)
+        # Off the diagonal, a unit-conductance Laplacian is minus the adjacency.
+        adjacency = (net._laplacian < 0.0).astype(np.float64)
+        candidate = _candidate(adjacency)
+        plans = [plain, None if candidate is None else _plan(candidate, degree)]
+        for _, coefficients, primes in sorted(filter(None, plans), key=lambda plan: plan[0]):
+            _admit(n, primes)
+            violation, vanished = _scan(adjacency, degree, primes, coefficients)
+            # A pass of degree n - 1 or more has checked every k < n.
+            if violation is not None or vanished or len(coefficients) > n - 1:
+                return violation
+    raise _beyond_table(degree, n)
 
 
 def check_walk_regular(net: Network) -> WalkRegularityReport:
@@ -289,9 +288,11 @@ def check_walk_regular(net: Network) -> WalkRegularityReport:
     Raises:
         NonUnitConductance: the check is combinatorial and only defined for
             the unweighted graph.
-        BadParameter: the graph is regular but its closed-walk counts are
-            beyond what the prime table can certify exactly, or their
-            residues would need more than ``MAX_RESIDUE_BYTES``.
+        BadParameter: the graph is regular but no planned pass certifies
+            it exactly: the count bound of every pass that would decide is
+            past the prime table, a needed prime is too large for the
+            degree, or a pass's residues would need more than
+            ``MAX_RESIDUE_BYTES``.
 
     The report is computed once per network; later calls return the same
     frozen report.
@@ -303,21 +304,15 @@ def check_walk_regular(net: Network) -> WalkRegularityReport:
 
 def _certify(net: Network) -> WalkRegularityReport:
     n = net.vertex_count
-    degrees = [net.degree(z) for z in range(n)]
-    if len(set(degrees)) > 1:
+    degrees = set(map(len, net._adjacency))
+    if len(degrees) > 1:
         return WalkRegularityReport(
             is_regular=False, is_walk_regular=False, first_violation=None, checked_k_max=1
         )
-    if n > 2:  # walk lengths 2..n-1 exist
-        violation = _first_violation(net, degrees[0])
-        if violation is not None:
-            return WalkRegularityReport(
-                is_regular=True,
-                is_walk_regular=False,
-                first_violation=violation,
-                checked_k_max=violation.k - 1,
-            )
+    violation = _first_violation(net, degrees.pop()) if n > 2 else None  # lengths 2..n-1 exist
     return WalkRegularityReport(
-        is_regular=True, is_walk_regular=True, first_violation=None, checked_k_max=max(1, n - 1)
+        is_regular=True,
+        is_walk_regular=violation is None,
+        first_violation=violation,
+        checked_k_max=max(1, n - 1) if violation is None else violation.k - 1,
     )
-

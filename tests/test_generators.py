@@ -115,9 +115,9 @@ class TestPetersen:
 
 class TestSizeArgument:
     @pytest.mark.parametrize("generate, size", [(cycle, 3.5), (hypercube, 2.5), (unitary_cayley, "5"),
-                                               (complete, 4.0), (cycle, None)],
+                                               (complete, 4.0), (cycle, None), (complete, True)],
                              ids=["cycle-float", "hypercube-float", "unitary_cayley-str",
-                                  "complete-integral-float", "cycle-none"])
+                                  "complete-integral-float", "cycle-none", "complete-bool"])
     def test_non_integer_is_refused(self, generate, size):
         with pytest.raises(BadParameter, match=r"^[nd] must be an integer, got "):
             generate(size)

@@ -205,7 +205,8 @@ class TestGuards:
             estimate_hitting_time(k3(), 0, 0, 10, 1)
 
     @pytest.mark.parametrize("estimator", [estimate_return_time, verify_pendant_identities, excursion_count_check])
-    @pytest.mark.parametrize(("vertex", "message"), [(5, "outside 0..2"), (1.5, "must be an integer")])
+    @pytest.mark.parametrize(("vertex", "message"), [(5, "outside 0..2"), (1.5, "must be an integer"),
+                                                     (True, "must be an integer")])
     def test_vertex_is_checked_before_samples_and_seed(self, estimator, vertex, message):
         with pytest.raises(BadVertexId, match=message):
             estimator(k3(), vertex, 0, -1)
@@ -220,10 +221,14 @@ class TestGuards:
     def test_fractional_samples(self):
         with pytest.raises(BadParameter, match="samples must be an integer, got 2.5"):
             estimate_return_time(cycle(4), 0, 2.5, 1)
+        with pytest.raises(BadParameter, match="samples must be an integer, got True"):
+            estimate_return_time(cycle(4), 0, True, 5)
 
     def test_fractional_seed(self):
         with pytest.raises(BadParameter, match="seed must be an integer, got 1.5"):
             estimate_return_time(cycle(4), 0, 10, 1.5)
+        with pytest.raises(BadParameter, match="seed must be an integer, got True"):
+            estimate_return_time(cycle(4), 0, 10, True)
 
     def test_numpy_seed_gives_a_json_ready_estimate(self):
         est = estimate_return_time(cycle(4), 0, np.int64(50), np.int64(3))

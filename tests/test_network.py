@@ -20,6 +20,7 @@ from ohmwalk import (
     petersen,
     unitary_cayley,
 )
+from ohmwalk import walk_regular
 from support import (
     CUBIC_UNEVEN_TRIANGLES,
     WEIGHTED_TRIANGLE,
@@ -123,7 +124,9 @@ class TestBuild:
         with pytest.raises(BadParameter):
             build_network(0, [])
 
-    @pytest.mark.parametrize("edges", [[(0, 1.7), (1, 2.2)], [(0.0, 1.0), (1, 2)]], ids=["fractional", "integral"])
+    @pytest.mark.parametrize("edges", [[(0, 1.7), (1, 2.2)], [(0.0, 1.0), (1, 2)], [(False, True), (1, 2)],
+                                       [(0, np.True_), (1, 2)]],
+                             ids=["fractional", "integral", "bool", "numpy-bool"])
     def test_float_ids_are_refused_not_truncated(self, edges):
         with pytest.raises(BadVertexId, match="must be integers"):
             build_network(3, edges)
@@ -131,16 +134,25 @@ class TestBuild:
     def test_fractional_vertex_count_is_refused(self):
         with pytest.raises(BadParameter, match="must be an integer, got 2.5"):
             build_network(2.5, [(0, 1)])
+        with pytest.raises(BadParameter, match="must be an integer, got True"):
+            build_network(True, [])
 
     def test_network_refuses_a_fractional_id(self):
         with pytest.raises(BadVertexId, match="must be integers"):
             Network(3, ((0, 1.5, 1.0), (1, 2, 1.0)))
+        # bool is an int subclass: (False, True) would be the edge (0, 1).
+        for flag in (True, np.True_):
+            with pytest.raises(BadVertexId, match="must be integers"):
+                Network(3, ((0, flag, 1.0), (1, 2, 1.0)))
+        with pytest.raises(BadVertexId, match="must be integers"):
+            Network(2, ((False, True, 1.0),))
 
     def test_network_refuses_a_non_numeric_conductance(self):
         with pytest.raises(InvalidEdge, match="non-numeric conductance 'x'"):
             Network(3, ((0, 1, "x"), (1, 2, 1.0)))
 
-    @pytest.mark.parametrize("text", ["2.5", b"2.5", bytearray(b"2.5")], ids=["str", "bytes", "bytearray"])
+    @pytest.mark.parametrize("text", ["2.5", b"2.5", bytearray(b"2.5"), True, np.True_],
+                             ids=["str", "bytes", "bytearray", "bool", "numpy-bool"])
     def test_string_conductances_are_refused_not_parsed(self, text):
         with pytest.raises(InvalidEdge, match="non-numeric conductance"):
             Network(2, ((0, 1, text),))
@@ -150,6 +162,8 @@ class TestBuild:
     def test_network_refuses_a_fractional_vertex_count(self):
         with pytest.raises(BadParameter, match="must be an integer, got 2.5"):
             Network(2.5, ((0, 1, 1.0),))
+        with pytest.raises(BadParameter, match="must be an integer, got True"):
+            Network(True, ())
 
     def test_integer_types_are_stored_as_int_and_float(self):
         net = Network(np.int64(3), ((np.int32(0), np.int64(1), 2), (1, np.uint8(2), np.float32(0.5))))
@@ -284,7 +298,7 @@ class TestRemoveEdge:
                 assert hash(reduced) == hash(validated)
                 assert np.array_equal(reduced._laplacian, validated._laplacian)
 
-    def test_trusted_result_reads_its_tree_like_a_validated_one(self, corpus):
+    def test_trusted_result_reads_its_tree_like_a_validated_one(self, corpus, monkeypatch):
         # The trusted result skips the connectivity check, so its tree is
         # built on first use, by the cut-edges or the certificate.
         for net in corpus[:25]:
@@ -297,16 +311,26 @@ class TestRemoveEdge:
                 assert reduced._bridges == validated._bridges == bridges_by_union_find(validated)
                 assert reduced._tree == validated._tree
         # A regular graph plus one chord, less that chord, is a trusted
-        # regular network, whose certificate reads the tree's depth.
-        for regular in [petersen(), hypercube(4), unitary_cayley(12), cycle(9),
-                        build_network(8, CUBIC_UNEVEN_TRIANGLES)]:
+        # regular network. Past the prime table, which two primes make
+        # hypercube(5)'s 5^31 counts, its certificate reads the tree's depth.
+        def trusted_copy(regular):
             a, b = next((a, b) for a in range(regular.vertex_count)
                         for b in range(a + 1, regular.vertex_count) if not regular.has_edge(a, b))
-            reduced = build_network(regular.vertex_count, [*regular.edges, (a, b)]).remove_edge(a, b)
+            return build_network(regular.vertex_count, [*regular.edges, (a, b)]).remove_edge(a, b)
+
+        for regular in [petersen(), hypercube(4), unitary_cayley(12), cycle(9),
+                        build_network(8, CUBIC_UNEVEN_TRIANGLES)]:
+            reduced = trusted_copy(regular)
             assert "_tree" not in vars(reduced)
             assert check_walk_regular(reduced) == check_walk_regular(regular)
-            assert "_tree" in vars(reduced)
             assert reduced._tree == regular._tree
+        monkeypatch.setattr(walk_regular, "_PRIMES", walk_regular._PRIMES[:2])
+        regular = hypercube(5)
+        reduced = trusted_copy(regular)
+        assert "_tree" not in vars(reduced)
+        assert check_walk_regular(reduced) == check_walk_regular(regular)
+        assert "_tree" in vars(reduced)
+        assert reduced._tree == regular._tree
 
     def test_refusals_keep_their_messages(self):
         net = path3()
@@ -376,6 +400,9 @@ class TestEdgeRef:
     def test_rejects_fractional_id(self):
         with pytest.raises(BadVertexId, match="integers"):
             EdgeRef(1.5, 0)
+        for flag in (True, np.True_):
+            with pytest.raises(BadVertexId, match="integers"):
+                EdgeRef(flag, 0)
 
     def test_rejects_string_ids(self):
         with pytest.raises(BadVertexId, match="integers"):

@@ -121,8 +121,12 @@ class TestRemovedEdgeHitting:
 def test_fractional_counts_are_refused():
     with pytest.raises(BadParameter, match="edge_count must be an integer, got 2.5"):
         removed_edge_hitting_time(2.5, 0.5)
+    with pytest.raises(BadParameter, match="edge_count must be an integer, got True"):
+        removed_edge_hitting_time(True, 0.5)
     with pytest.raises(BadParameter, match="n must be an integer, got 5.5"):
         extremal_increment_bounds(5.5)
+    with pytest.raises(BadParameter, match="n must be an integer, got True"):
+        extremal_increment_bounds(True)
 
 
 def test_numpy_counts_are_accepted():

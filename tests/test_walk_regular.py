@@ -107,17 +107,18 @@ def blow_up(net, m):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """The polynomial degree of every Horner pass the certificate runs: ``t``
-    on the short route, ``n - 1`` on the plain scan."""
-    degrees = []
+    """``(polynomial degree, prime count)`` of every Horner pass the
+    certificate runs: the degree is ``t`` on the candidate's pass and
+    ``n - 1`` on the plain scan."""
+    passes = []
     scan = walk_regular._scan
 
     def recording(adjacency, degree, primes, coefficients):
-        degrees.append(len(coefficients) - 1)
+        passes.append((len(coefficients) - 1, len(primes)))
         return scan(adjacency, degree, primes, coefficients)
 
     monkeypatch.setattr(walk_regular, "_scan", recording)
-    return degrees
+    return passes
 
 
 class TestShortRoute:
@@ -125,8 +126,9 @@ class TestShortRoute:
                                         (unitary_cayley(48), 5)],
                              ids=["petersen", "complete24", "hypercube6", "unitary_cayley48"])
     def test_scan_stops_at_the_number_of_distinct_eigenvalues(self, net, t, scans):
+        # Each count bound sum |c_i| d^i is below 2^32: one prime.
         report = check_walk_regular(net)
-        assert scans == [t]
+        assert scans == [(t, 1)]
         assert report.is_walk_regular and report.checked_k_max == net.vertex_count - 1
 
     def test_horner_residues_are_reduced_before_they_pass_float_exactness(self, scans, monkeypatch):
@@ -135,7 +137,7 @@ class TestShortRoute:
         # 5-regular adjacency take them past 2^53 unless they are reduced.
         monkeypatch.setattr(walk_regular, "_PRIMES", (2**50 - 27, 2**50 - 35))
         assert check_walk_regular(hypercube(5)).is_walk_regular
-        assert scans == [6]
+        assert scans == [(6, 1)]
 
     def test_primes_too_large_for_the_diagonal_term_are_refused(self):
         # 2 * p < 2^53 <= 3 * p: a product by a 2-regular adjacency stays
@@ -150,7 +152,7 @@ class TestShortRoute:
         # k = 5 and finds the uneven triangle counts at k = 3.
         net = blow_up(build_network(8, CUBIC_UNEVEN_TRIANGLES), 2)
         report = check_walk_regular(net)
-        assert scans == [6]
+        assert scans == [(6, 1)]
         assert report.first_violation == WalkCountMismatch(k=3, x=0, y=6)
         assert report == walk_regular_by_python_ints(net)
 
@@ -158,33 +160,31 @@ class TestShortRoute:
                                      blow_up(petersen(), 3)],
                              ids=lambda g: f"n{g.vertex_count}m{g.edge_count}")
     def test_perturbed_polynomial_falls_back_to_the_full_scan(self, net, scans, monkeypatch):
-        short_route = walk_regular._short_route
+        candidate = walk_regular._candidate
 
-        def perturbed(*args):
-            coefficients, primes = short_route(*args)
-            return [coefficients[0] + 1, *coefficients[1:]], primes
+        def perturbed(adjacency):
+            coefficients = candidate(adjacency)
+            return [coefficients[0] + 1, *coefficients[1:]]
 
-        monkeypatch.setattr(walk_regular, "_short_route", perturbed)
+        monkeypatch.setattr(walk_regular, "_candidate", perturbed)
         assert check_walk_regular(net) == walk_regular_by_python_ints(net)
-        assert len(scans) == 2 and scans[-1] == net.vertex_count - 1
+        assert len(scans) == 2 and scans[-1][0] == net.vertex_count - 1
 
     def test_unproven_polynomial_never_certifies(self, scans, monkeypatch):
         # x^2 checks only k = 2, where the counts agree; only the proof that
         # x^2 does not annihilate A keeps the k = 3 witness.
-        square = ([0, 0, 1], walk_regular._PRIMES[:1])
-        monkeypatch.setattr(walk_regular, "_short_route", lambda *args: square)
+        monkeypatch.setattr(walk_regular, "_candidate", lambda adjacency: [0, 0, 1])
         net = build_network(8, CUBIC_UNEVEN_TRIANGLES)
         assert check_walk_regular(net) == walk_regular_by_python_ints(net)
-        assert scans == [2, 7]
+        assert scans == [(2, 1), (7, 1)]
 
     def test_violation_at_the_polynomial_degree_comes_from_the_one_pass(self, scans, monkeypatch):
         # x^3 does not annihilate A, but its pass reaches k = 3 and finds the
         # uneven triangle counts there, so no plain scan follows.
-        cube = ([0, 0, 0, 1], walk_regular._PRIMES[:1])
-        monkeypatch.setattr(walk_regular, "_short_route", lambda *args: cube)
+        monkeypatch.setattr(walk_regular, "_candidate", lambda adjacency: [0, 0, 0, 1])
         net = build_network(8, CUBIC_UNEVEN_TRIANGLES)
         report = check_walk_regular(net)
-        assert scans == [3]
+        assert scans == [(3, 1)]
         assert report.first_violation == WalkCountMismatch(k=3, x=0, y=3)
         assert report == walk_regular_by_python_ints(net)
 
@@ -192,17 +192,22 @@ class TestShortRoute:
         # prod(x - theta) over 100..399 overflows float64; rounding inf or
         # nan would raise instead of falling back.
         diagonal = np.diag(np.arange(100.0, 400.0))
-        assert walk_regular._short_route(diagonal, 100, walk_regular._PRIMES) is None
+        assert walk_regular._candidate(diagonal) is None
 
     def test_small_graphs_whose_scan_is_cheap_skip_it(self, scans):
-        # cycle(4) has three distinct eigenvalues: two products on the short
-        # route are not fewer than the plain scan's two. cycle(6) has four:
-        # three products undercut the plain scan's four.
+        # On one prime, a pass costs its degree less one in products. cycle(3)
+        # has two distinct eigenvalues, and cycle(4) three: the candidate's
+        # one and two products do not undercut the plain scan's one and two,
+        # so the plain scan runs alone. cycle(6) has four: three products
+        # undercut the plain scan's four.
+        assert check_walk_regular(cycle(3)).is_walk_regular
+        assert scans == [(2, 1)]
+        scans.clear()
         assert check_walk_regular(cycle(4)).is_walk_regular
-        assert scans == [3]
+        assert scans == [(3, 1)]
         scans.clear()
         assert check_walk_regular(cycle(6)).is_walk_regular
-        assert scans == [4]
+        assert scans == [(4, 1)]
 
 
 def random_regular_corpus(count: int = 240, seed: int = 4417):
@@ -221,27 +226,18 @@ def random_regular_corpus(count: int = 240, seed: int = 4417):
 
 
 class TestAgainstPythonInts:
-    def test_random_regular_reports_match(self, scans, monkeypatch):
+    def test_random_regular_reports_match(self, scans):
         # Most of these graphs have too many distinct eigenvalues for the
-        # short route, so the plain scan keeps its oracle coverage here: it is
-        # the pass that follows the candidate's, or the only one.
-        candidates = []
-        short_route = walk_regular._short_route
-
-        def counting(*args):
-            route = short_route(*args)
-            candidates.append(route is not None)
-            return route
-
-        monkeypatch.setattr(walk_regular, "_short_route", counting)
+        # candidate's pass to undercut the plain scan, so the plain scan keeps
+        # its oracle coverage here: it is the pass that follows the
+        # candidate's, or the only one.
         corpus = random_regular_corpus()
         assert len(corpus) >= 200
         plain = 0
         for net in corpus:
             scans.clear()
-            candidates.clear()
             assert check_walk_regular(net) == walk_regular_by_python_ints(net), net.edges
-            plain += len(scans) > sum(candidates)
+            plain += scans[-1][0] == net.vertex_count - 1
         assert plain > len(corpus) // 2
 
     def test_reports_match_when_single_primes_collide(self, monkeypatch):
@@ -256,13 +252,30 @@ class TestAgainstPythonInts:
 
     def test_blown_up_regular_reports_match(self, scans):
         # A blow-up adds only the eigenvalue 0 to the spectrum while doubling
-        # n, so most of these take the short route, witness included.
+        # n, so most of these take the candidate's pass, witness included.
         short = 0
         for net in map(blow_up, random_regular_corpus(count=40, seed=6011), [2] * 40):
             scans.clear()
             assert check_walk_regular(net) == walk_regular_by_python_ints(net), net.edges
-            short += scans[0] < net.vertex_count - 1
+            short += scans[0][0] < net.vertex_count - 1
         assert short >= 30
+
+    def test_two_jump_circulants_match(self, scans):
+        # Every connected circulant C_n(a, b) with n <= 20: up to 11 distinct
+        # eigenvalues, which is at most n / 2 + 1, so the candidate's pass
+        # always undercuts the plain scan and decides alone, proving p(A) = 0
+        # on every one of these walk-regular graphs.
+        first = []
+        for n in range(5, 21):
+            for a, b in combinations(range(1, n // 2 + 1), 2):
+                if math.gcd(a, b, n) > 1:
+                    continue
+                edges = {tuple(sorted((v, (v + j) % n))) for v in range(n) for j in (a, b)}
+                net = build_network(n, sorted(edges))
+                scans.clear()
+                assert check_walk_regular(net) == walk_regular_by_python_ints(net), (n, a, b)
+                first.append(len(scans) == 1 and scans[0][0] < n - 1)
+        assert len(first) == 248 and all(first)
 
     @pytest.mark.parametrize(
         "net",
@@ -320,21 +333,28 @@ class TestModuli:
 
     def test_count_bound_beyond_table_raises(self, monkeypatch):
         # cycle(66) counts reach 2^65 > 2^64: two 32-bit primes cannot tell
-        # them apart, and its 34 distinct eigenvalues leave the short route
-        # a bound past them too.
+        # them apart, and its 34 distinct eigenvalues leave the candidate's
+        # pass a bound past them too.
         monkeypatch.setattr(walk_regular, "_PRIMES", walk_regular._PRIMES[:2])
         with pytest.raises(BadParameter, match="exceed the product"):
             check_walk_regular(cycle(66))
         assert check_walk_regular(hypercube(4)).is_walk_regular
+        # One prime is not past 2^33 either, the least bound its breadth-first
+        # depth allows a pass, so the refusal comes before the Laplacian.
+        monkeypatch.setattr(walk_regular, "_PRIMES", walk_regular._PRIMES[:1])
+        net = cycle(66)
+        with pytest.raises(BadParameter, match="exceed the product of the 1 tabulated primes"):
+            check_walk_regular(net)
+        assert "_laplacian" not in vars(net)
 
     def test_count_bound_beyond_table_certifies_on_the_short_route(self, monkeypatch, scans):
         # hypercube(5) counts reach 5^31 > 2^64, but its six distinct
-        # eigenvalues bound the short route by 28 575: one prime.
+        # eigenvalues bound the candidate's pass by 28 575: one prime.
         monkeypatch.setattr(walk_regular, "_PRIMES", walk_regular._PRIMES[:2])
         net = hypercube(5)
         assert walk_regular._leading_primes(5, 5**31, walk_regular._PRIMES) is None
         assert check_walk_regular(net) == walk_regular_by_python_ints(net)
-        assert scans == [6]
+        assert scans == [(6, 1)]
 
     @pytest.mark.parametrize("n", [260, 300])
     def test_complete_graphs_past_the_table_certify(self, n, scans):
@@ -342,19 +362,19 @@ class TestModuli:
         assert walk_regular._leading_primes(n - 1, (n - 1) ** (n - 1), walk_regular._PRIMES) is None
         report = check_walk_regular(complete(n))
         assert report.is_walk_regular and report.checked_k_max == n - 1
-        assert scans == [2]
+        assert scans == [(2, 1)]
 
     def test_unproven_polynomial_past_the_table_raises(self, monkeypatch):
-        # Past the table only the short route can certify; a candidate whose
-        # proof fails leaves nothing to fall back to.
-        short_route = walk_regular._short_route
+        # Past the table only the candidate's pass can certify; a candidate
+        # whose proof fails leaves nothing to fall back to.
+        candidate = walk_regular._candidate
 
-        def perturbed(*args):
-            coefficients, primes = short_route(*args)
-            return [coefficients[0] + 1, *coefficients[1:]], primes
+        def perturbed(adjacency):
+            coefficients = candidate(adjacency)
+            return [coefficients[0] + 1, *coefficients[1:]]
 
         monkeypatch.setattr(walk_regular, "_PRIMES", walk_regular._PRIMES[:2])
-        monkeypatch.setattr(walk_regular, "_short_route", perturbed)
+        monkeypatch.setattr(walk_regular, "_candidate", perturbed)
         with pytest.raises(BadParameter, match="exceed the product of the 2 tabulated primes"):
             check_walk_regular(hypercube(5))
 
