@@ -43,6 +43,7 @@ def parse_edge_list(text: str) -> LabeledNetwork:
 
     Raises:
         ParseError: malformed record, with its line number.
+        InvalidEdge: the conductances' total strength is past the float64 range.
         DisconnectedGraph: the document describes a disconnected graph.
     """
     header: int | None = None

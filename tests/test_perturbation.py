@@ -177,6 +177,18 @@ class TestAnalyzeEdgeRemoval:
         with pytest.raises(NonUnitConductance):
             analyze_edge_removal(build_network(3, WEIGHTED_TRIANGLE), 0, 1)
 
+    # The weighted triangle with a pendant vertex 3 at vertex 2: a missing
+    # edge is refused first, then a cut-edge, then the weights.
+    @pytest.mark.parametrize("edge, error, message", [
+        ((0, 3), NoSuchEdge, r"\(0, 3\) is not an edge"),
+        ((3, 2), WouldDisconnect, r"\(3, 2\) is a cut-edge"),
+        ((0, 1), NonUnitConductance, "assumes unit conductances"),
+    ], ids=["missing", "cut", "non-cut"])
+    def test_weighted_network_refusal_order(self, edge, error, message):
+        net = build_network(4, [*WEIGHTED_TRIANGLE, (2, 3, 2.0)])
+        with pytest.raises(error, match=message):
+            analyze_edge_removal(net, *edge)
+
     def test_rejects_missing_edge(self):
         with pytest.raises(NoSuchEdge):
             analyze_edge_removal(cycle(4), 0, 2)

@@ -302,6 +302,15 @@ class TestReturnTimes:
                 closed = return_time(net, z)
                 assert abs(closed - first_step[z]) <= REL * closed
 
+    def test_largest_conductances_inside_float64_range(self):
+        # Total strength 6e307 is finite, so the network builds and every
+        # quantity matches the unit triangle's.
+        net = build_network(3, [(0, 1, 1e307), (1, 2, 1e307), (0, 2, 1e307)])
+        assert net.total_strength == 6e307
+        assert return_time(net, 0) == 3.0
+        unit = hitting_time_matrix(build_network(3, [(0, 1), (1, 2), (0, 2)])).hitting
+        np.testing.assert_allclose(hitting_time_matrix(net).hitting, unit, rtol=REL)
+
     def test_bad_vertex(self):
         with pytest.raises(BadVertexId):
             return_time(complete(3), 3)

@@ -139,6 +139,13 @@ class TestShortRoute:
         assert check_walk_regular(hypercube(5)).is_walk_regular
         assert scans == [(6, 1)]
 
+    def test_long_cycle_keeps_its_candidate(self, scans):
+        # Expanded smallest root first, cycle(80)'s 41 distinct eigenvalues
+        # round to the integer polynomial, whose count bound needs two primes.
+        net = cycle(80)
+        assert check_walk_regular(net) == walk_regular_by_python_ints(net)
+        assert scans == [(41, 2)]
+
     def test_primes_too_large_for_the_diagonal_term_are_refused(self):
         # 2 * p < 2^53 <= 3 * p: a product by a 2-regular adjacency stays
         # exact, but each Horner step also adds a residue to the diagonal.
@@ -332,12 +339,15 @@ class TestModuli:
         assert all(math.gcd(p, q) == 1 for p, q in combinations(walk_regular._PRIMES, 2))
 
     def test_count_bound_beyond_table_raises(self, monkeypatch):
-        # cycle(66) counts reach 2^65 > 2^64: two 32-bit primes cannot tell
-        # them apart, and its 34 distinct eigenvalues leave the candidate's
-        # pass a bound past them too.
+        # cycle(130) counts reach 2^129 > 2^64: two 32-bit primes cannot tell
+        # them apart. Float error leaves its 66 distinct eigenvalues no
+        # candidate, and the exact one would have a bound past 2^66 anyway.
         monkeypatch.setattr(walk_regular, "_PRIMES", walk_regular._PRIMES[:2])
+        net = cycle(130)
+        assert walk_regular._leading_primes(2, 2**129, walk_regular._PRIMES) is None
+        assert walk_regular._candidate((net._laplacian < 0.0).astype(np.float64)) is None
         with pytest.raises(BadParameter, match="exceed the product"):
-            check_walk_regular(cycle(66))
+            check_walk_regular(net)
         assert check_walk_regular(hypercube(4)).is_walk_regular
         # One prime is not past 2^33 either, the least bound its breadth-first
         # depth allows a pass, so the refusal comes before the Laplacian.
