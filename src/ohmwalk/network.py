@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -323,9 +324,9 @@ class Network:
         """
         if self.is_cut_edge(a, b):
             raise WouldDisconnect(f"({a}, {b}) is a cut-edge; removal would disconnect the graph")
-        key = (min(a, b), max(a, b))
-        kept = tuple(e for e in self.edges if (e[0], e[1]) != key)
-        return Network._trusted(self.vertex_count, kept)
+        # The edges are sorted and (a, b) sorts just before (a, b, c).
+        i = bisect_left(self.edges, (min(a, b), max(a, b)))
+        return Network._trusted(self.vertex_count, self.edges[:i] + self.edges[i + 1:])
 
     def add_pendant_vertex(self, z: int, conductance: float = 1.0) -> tuple["Network", int]:
         """Attach a fresh degree-1 vertex to ``z`` and return (network, new id).

@@ -6,7 +6,11 @@ pre-removal value ``r`` alone, provided the edge is not a cut-edge. On
 walk-regular graphs the hitting time across the deleted edge follows the
 same way, scaled by the remaining edge count. Each closed form is paired
 here with a direct recomputation on the edge-deleted graph so callers can
-compare predicted against recomputed values.
+compare predicted against recomputed values. The original graph's
+resistances come from its eigendecomposition; the edge-deleted graph is
+recomputed by one grounded solve, its resistances read off the commute
+times as ``R' = commute' / C'`` (Chandra et al. 1989), so each closed form
+is checked against a different factorisation than the one it started from.
 """
 
 from __future__ import annotations
@@ -113,7 +117,10 @@ def analyze_edge_removal(net: Network, a: int, b: int) -> PerturbationReport:
 
     Computes exact resistance, hitting, and Kirchhoff quantities on the
     original graph, evaluates the closed-form predictions, then rebuilds
-    the edge-deleted graph and recomputes everything directly.
+    the edge-deleted graph and recomputes everything directly from one
+    grounded solve of it: with total strength ``C'``, the resistance is
+    ``R'_ab = commute'_ab / C'`` and the Kirchhoff index is
+    ``sum(commute') / (2 C')``.
 
     Raises:
         BadVertexId: an endpoint is not a vertex.
@@ -130,8 +137,8 @@ def analyze_edge_removal(net: Network, a: int, b: int) -> PerturbationReport:
     r_before = float(resistance.resistance[a, b])
     certificate = check_walk_regular(net)
 
-    resistance_after = effective_resistance_matrix(reduced)
     hitting_after = hitting_time_matrix(reduced)
+    total_after = reduced.total_strength
 
     predicted_hit: Optional[float] = None
     if certificate.is_walk_regular:
@@ -141,12 +148,12 @@ def analyze_edge_removal(net: Network, a: int, b: int) -> PerturbationReport:
         edge=EdgeRef(a, b),
         r_before=r_before,
         r_after_predicted=predicted_removed_resistance(r_before),
-        r_after_direct=float(resistance_after.resistance[a, b]),
+        r_after_direct=float(hitting_after.commute[a, b] / total_after),
         r_increment=resistance_increment(r_before),
         hitting_before=float(hitting.hitting[a, b]),
         hitting_after_predicted=predicted_hit,
         hitting_after_direct=float(hitting_after.hitting[a, b]),
         kirchhoff_before=resistance.kirchhoff_index,
-        kirchhoff_after=resistance_after.kirchhoff_index,
+        kirchhoff_after=float(hitting_after.commute.sum() / (2.0 * total_after)),
         walk_regular=certificate.is_walk_regular,
     )

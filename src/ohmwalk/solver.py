@@ -22,6 +22,7 @@ read-only, so callers share them safely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +151,13 @@ def _hitting_times(net: Network) -> HittingReport:
     # spread over six decades this kept hitting times within 3e-11 of an
     # 80-bit solve, where grounding at the weakest vertex lost up to 5e-6.
     g = np.argmax(strengths)
-    bordered = lap.copy()
+    # Scale by the power of two that brings the largest strength into
+    # [1/2, 1): the inverse of a Laplacian with subnormal conductances
+    # would otherwise leave the float64 range, silently. Scaling is exact,
+    # and G s and C G do not change with it.
+    exponent = -math.frexp(strengths[g])[1]
+    bordered = np.ldexp(lap, exponent)
+    strengths = np.ldexp(strengths, exponent)
     bordered[g, :] = 0.0
     bordered[:, g] = 0.0
     bordered[g, g] = 1.0
@@ -163,7 +170,7 @@ def _hitting_times(net: Network) -> HittingReport:
     green /= 2.0
     potential = green @ strengths
     hitting = np.diag(green) - green
-    hitting *= net.total_strength
+    hitting *= math.ldexp(net.total_strength, exponent)
     hitting += potential[:, None]
     hitting -= potential
     np.fill_diagonal(hitting, 0.0)

@@ -1,6 +1,8 @@
 import io
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from ohmwalk.cli import run_cli
@@ -113,6 +115,28 @@ class TestRemoveEdge:
         assert document["hitting_after_direct"] == pytest.approx(15.4)
         assert document["kirchhoff_after"] >= document["kirchhoff_before"]
         assert document["walk_regular"] is True
+
+    def test_remove_edge_factorises_each_network_once(self, tmp_path, capsys, monkeypatch):
+        # One eigendecomposition of the original network; one grounded solve
+        # of it and one of the edge-deleted network.
+        path = tmp_path / "cube.edges"
+        run(capsys, "gen", "hypercube", "3", "-o", str(path))
+        counts = Counter()
+
+        def count(name):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        count("eigh")
+        count("solve")
+        code, _, _ = run(capsys, "remove-edge", "-i", str(path), "--edge", "0", "1")
+        assert code == 0
+        assert counts == {"eigh": 1, "solve": 2}
 
     def test_human_readable_lists_every_field(self, tmp_path, capsys):
         path = tmp_path / "cube.edges"

@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -242,6 +243,25 @@ class TestHittingTimes:
             for target in range(net.vertex_count):
                 exact = np.array([float(x) for x in hitting_times_by_fractions(net, target)])
                 assert np.allclose(h[:, target], exact, rtol=REL, atol=0.0)
+
+    def test_subnormal_conductances_match_fraction_oracle(self):
+        # Every conductance is subnormal. Solved unscaled, the grounded
+        # inverse left the float64 range and H[0, 1] read 1.75, not 2.
+        net = build_network(3, [(0, 1, 1e-308), (1, 2, 1e-308), (0, 2, 1e-308)])
+        h = hitting_time_matrix(net).hitting
+        for target in range(3):
+            exact = np.array([float(x) for x in hitting_times_by_fractions(net, target)])
+            assert np.allclose(h[:, target], exact, rtol=REL, atol=0.0)
+
+    @pytest.mark.parametrize("exponent", [-1016, 1010])
+    def test_power_of_two_conductance_scale_changes_no_bit(self, exponent):
+        # At 2**-1016 the smallest corpus conductance, 1/64, is the smallest
+        # normal float64; solved unscaled, 47 of the 200 graphs changed.
+        for net in random_corpus():
+            scaled = build_network(
+                net.vertex_count, [(a, b, math.ldexp(c, exponent)) for a, b, c in net.edges]
+            )
+            assert np.array_equal(hitting_time_matrix(scaled).hitting, hitting_time_matrix(net).hitting)
 
     def test_one_solve_per_network(self, monkeypatch):
         calls = []
