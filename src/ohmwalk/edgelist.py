@@ -11,6 +11,10 @@ Labels are arbitrary non-whitespace tokens; they map bijectively to
 internal ids ``0..n-1`` in order of first appearance. Serializing and
 re-parsing preserves the labeled edge multiset and conductances exactly
 (17 significant digits).
+
+A :class:`Network` has at least two vertices and is connected, so a
+document needs an edge record and every vertex is named on one: a header
+above the number of labels describes a disconnected graph.
 """
 
 from __future__ import annotations
@@ -42,9 +46,11 @@ def parse_edge_list(text: str) -> LabeledNetwork:
     """Parse an edge-list document into a validated network.
 
     Raises:
-        ParseError: malformed record, with its line number.
+        ParseError: malformed record, with its line number, or no edge
+            record at all.
         InvalidEdge: the conductances' total strength is past the float64 range.
-        DisconnectedGraph: the document describes a disconnected graph.
+        DisconnectedGraph: the document describes a disconnected graph,
+            a header above the number of labels included.
     """
     header: int | None = None
     ids: dict[str, int] = {}  # in order of first appearance
@@ -91,12 +97,11 @@ def parse_edge_list(text: str) -> LabeledNetwork:
         seen_pairs.add(pair)
         edges.append((a, b, conductance))
 
-    if not edges and header != 1:
+    if not edges:
         raise ParseError(1, "no edge records")
     vertex_count = header if header is not None else len(ids)
     network = Network(vertex_count, tuple(edges))
-    labels = (*ids, *(str(i) for i in range(len(ids), vertex_count)))
-    return LabeledNetwork(network=network, labels=labels)
+    return LabeledNetwork(network=network, labels=tuple(ids))
 
 
 def format_edge_list(net: Network, labels: tuple[str, ...] | None = None) -> str:
@@ -116,12 +121,6 @@ def format_edge_list(net: Network, labels: tuple[str, ...] | None = None) -> str
         if label in seen:
             raise BadParameter(f"label {label!r} is repeated; labels must be distinct")
         seen.add(label)
-    if not net.edges and tuple(labels) != ("0",):
-        # The document is the bare header, which parses back with label "0".
-        raise BadParameter(
-            f"label {labels[0]!r} of an edgeless one-vertex network cannot be written; "
-            f"the edge-list format only carries labels on edge records"
-        )
     lines = [str(net.vertex_count)]
     for a, b, c in net.edges:
         if c == 1.0:

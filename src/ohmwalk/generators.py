@@ -26,8 +26,6 @@ def cycle(n: int) -> Network:
 def complete(n: int) -> Network:
     """The complete graph on ``n`` vertices."""
     n = _require_integer(n, "n")
-    if n < 2:
-        raise BadParameter(f"complete needs n >= 2, got {n}")
     return build_network(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 

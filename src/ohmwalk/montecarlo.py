@@ -119,14 +119,13 @@ def _sample(net: Network, start: int, stop: int, samples: int, seed: int) -> tup
     From ``v`` a walk steps to the neighbor whose running conductance sum
     is the first to exceed ``u * C_v``, ``u`` one uniform draw. Returns the
     per-walker step counts and visits to ``start`` after the first step.
+    Every vertex has a neighbor to step to, since a :class:`Network` is
+    connected and has at least two vertices.
 
     Raises:
-        BadParameter: the network has fewer than two vertices.
         WalkLengthExceeded: a walk has not reached ``stop`` after
             ``MAX_WALK_STEPS`` steps.
     """
-    if net.vertex_count < 2:
-        raise BadParameter("random walk needs at least two vertices")
     neighbors = [list(d) for d in net._adjacency]
     cumulative = [list(accumulate(d.values())) for d in net._adjacency]
     cap = MAX_WALK_STEPS

@@ -83,16 +83,20 @@ class Network:
     """A connected simple graph with positive edge conductances.
 
     Attributes:
-        vertex_count: number of vertices ``n``; ids are ``0..n-1``.
+        vertex_count: number of vertices ``n``, at least two; ids are
+            ``0..n-1``.
         edges: canonical edge tuple, each entry ``(a, b, conductance)`` with
-            ``a < b``, sorted lexicographically. Treat as read-only.
+            ``a < b``, sorted lexicographically. Treat as read-only. The
+            constructor also takes ``(a, b)`` records, as unit edges.
 
-    Construction validates everything: integer vertex ids in range (any
+    This is the one statement of what a network is, and construction
+    validates all of it: at least two vertices (every quantity here needs a
+    walk that can take a step), integer vertex ids in range (any
     ``operator.index`` type; floats such as ``1.0`` and booleans are
     refused), no self-loops, no duplicate pairs, conductances numeric
     (strings such as ``"2.5"`` and booleans are refused), positive and
-    finite, a total strength inside the float64 range, and connectivity.
-    Prefer :func:`build_network` for building from raw edge lists.
+    finite, a total strength inside the float64 range, and connectivity,
+    which with two vertices guarantees an edge.
     """
 
     vertex_count: int
@@ -100,15 +104,18 @@ class Network:
 
     def __post_init__(self):
         n = _require_integer(self.vertex_count, "vertex_count")
-        if n < 1:
-            raise BadParameter(f"vertex_count must be positive, got {n}")
+        if n < 2:
+            raise BadParameter(f"a network needs at least two vertices, got vertex_count {n}")
         canonical = []
         seen: set[tuple[int, int]] = set()
         for edge in self.edges:
             try:
-                a, b, c = edge
+                if len(edge) == 2:
+                    (a, b), c = edge, 1.0
+                else:
+                    a, b, c = edge
             except (TypeError, ValueError):
-                raise InvalidEdge(f"expected (a, b, conductance) triple, got {edge!r}") from None
+                raise InvalidEdge(f"expected (a, b) or (a, b, conductance), got {edge!r}") from None
             if type(a) is not int or type(b) is not int:  # plain ints skip the conversion
                 try:
                     a, b = _index(a), _index(b)
@@ -344,29 +351,23 @@ def build_network(
     vertex_count: int,
     weighted_edges: Iterable[Sequence],
 ) -> Network:
-    """Validate and build a :class:`Network` from an edge list.
+    """Validate and build a :class:`Network` from any iterable of edge records.
 
     Args:
-        vertex_count: number of vertices; ids must lie in ``0..n-1``.
+        vertex_count: number of vertices, at least two; ids must lie in
+            ``0..n-1``.
         weighted_edges: iterable of ``(a, b)`` or ``(a, b, conductance)``;
-            omitted conductances default to 1.
+            omitted conductances default to 1, as in :class:`Network`.
 
     Returns:
         The validated network.
 
     Raises:
-        BadParameter: ``vertex_count`` is not a positive integer.
+        BadParameter: ``vertex_count`` is not an integer or is below two.
         BadVertexId: an endpoint is not an integer or is out of range.
-        InvalidEdge: self-loop, duplicate pair, bad conductance, or a
-            total strength past the float64 range.
+        InvalidEdge: a record that is not a pair or a triple, a self-loop,
+            a duplicate pair, a bad conductance, or a total strength past
+            the float64 range.
         DisconnectedGraph: the edges do not connect all vertices.
     """
-    triples = []
-    for item in weighted_edges:
-        if len(item) == 2:
-            triples.append((*item, 1.0))
-        elif len(item) == 3:
-            triples.append(item)
-        else:
-            raise InvalidEdge(f"expected (a, b) or (a, b, conductance), got {tuple(item)!r}")
-    return Network(vertex_count, tuple(triples))
+    return Network(vertex_count, tuple(weighted_edges))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, NumericalFailure
+from .errors import NumericalFailure
 from .network import Network
 
 __all__ = [
@@ -72,11 +72,6 @@ class HittingReport:
     commute: np.ndarray
 
 
-def _require_multivertex(net: Network) -> None:
-    if net.vertex_count < 2:
-        raise BadParameter("network quantities need at least two vertices")
-
-
 def effective_resistance_matrix(net: Network) -> ResistanceReport:
     """All pairwise effective resistances plus the Kirchhoff index.
 
@@ -88,8 +83,12 @@ def effective_resistance_matrix(net: Network) -> ResistanceReport:
 
     The report is computed once per network; later calls return the same
     read-only report.
+
+    Raises:
+        NumericalFailure: float64 cannot resolve the Laplacian's spectrum,
+            or the resistances or their sum are past the float64 range, as
+            on a network whose conductances are all near ``1e-308``.
     """
-    _require_multivertex(net)
     return net._report("_resistance_report", _resistances)
 
 
@@ -112,11 +111,16 @@ def _resistances(net: Network) -> ResistanceReport:
             f"({largest:.3g}) instead of one zero mode; smallest: {smallest}"
         )
     scaled = vectors[:, 1:] / np.sqrt(eigenvalues[1:])
-    pinv = scaled @ scaled.T
-    diag = np.diag(pinv)
-    resistance = diag[:, None] + diag[None, :] - 2.0 * pinv
-    np.fill_diagonal(resistance, 0.0)
-    kirchhoff = float(resistance.sum() / 2.0)
+    # A resistance past the float64 range comes out inf or nan, and so does
+    # the sum then, so the one finite test on the sum judges them all.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pinv = scaled @ scaled.T
+        diag = np.diag(pinv)
+        resistance = diag[:, None] + diag[None, :] - 2.0 * pinv
+        np.fill_diagonal(resistance, 0.0)
+        kirchhoff = float(resistance.sum() / 2.0)
+    if not math.isfinite(kirchhoff):
+        raise NumericalFailure("effective resistances or their sum are past the float64 range")
     resistance.setflags(write=False)
     return ResistanceReport(resistance=resistance, kirchhoff_index=kirchhoff)
 
@@ -139,7 +143,6 @@ def hitting_time_matrix(net: Network) -> HittingReport:
     The report is computed once per network; later calls return the same
     read-only report.
     """
-    _require_multivertex(net)
     return net._report("_hitting_report", _hitting_times)
 
 
@@ -187,5 +190,4 @@ def return_time(net: Network, z: int) -> float:
     the first-step relation ``1 + sum_y P[z, y] H[y, z]`` over the hitting
     times of :func:`hitting_time_matrix`.
     """
-    _require_multivertex(net)
     return net.total_strength / net.vertex_strength(z)

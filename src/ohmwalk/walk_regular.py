@@ -314,5 +314,5 @@ def _certify(net: Network) -> WalkRegularityReport:
         is_regular=True,
         is_walk_regular=violation is None,
         first_violation=violation,
-        checked_k_max=max(1, n - 1) if violation is None else violation.k - 1,
+        checked_k_max=n - 1 if violation is None else violation.k - 1,
     )

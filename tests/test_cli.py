@@ -307,6 +307,20 @@ class TestErrorChannel:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_one_vertex_document_is_refused(self, capsys, monkeypatch):
+        feed_stdin(monkeypatch, "1\n")
+        code, out, err = run(capsys, "walk-regular")
+        assert (code, out, err) == (2, "", "error: line 1: no edge records\n")
+
+    @pytest.mark.parametrize("query", [["kirchhoff"], ["resistance", "--pair", "a", "b"]],
+                             ids=["kirchhoff", "resistance"])
+    @pytest.mark.parametrize("c", ["1e-310", "5e-324", "1e-308"])
+    def test_resistances_past_float64_range(self, query, c, capsys, monkeypatch):
+        feed_stdin(monkeypatch, f"a b {c}\nb c {c}\nc a {c}\n")
+        code, out, err = run(capsys, *query)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "past the float64 range" in err
+
     def test_malformed_document(self, capsys, monkeypatch):
         feed_stdin(monkeypatch, "a a\n")
         code, _, err = run(capsys, "kirchhoff")

@@ -41,10 +41,11 @@ class TestParse:
         doc = parse_edge_list("3\n0 1\n1 2\n0 2\n")
         assert doc.network.vertex_count == 3
 
-    def test_header_alone_gives_singleton(self):
-        doc = parse_edge_list("1\n")
-        assert doc.network.vertex_count == 1
-        assert doc.labels == ("0",)
+    def test_header_alone_is_refused(self):
+        # A network has at least two vertices and is connected, so it has an edge.
+        with pytest.raises(ParseError) as caught:
+            parse_edge_list("1\n")
+        assert str(caught.value) == "line 1: no edge records"
 
     def test_header_smaller_than_labels(self):
         with pytest.raises(ParseError, match="exceeds declared vertex count"):
@@ -130,21 +131,10 @@ class TestFormat:
         with pytest.raises(BadParameter, match="label 'a' is repeated"):
             format_edge_list(cycle(3), ("a", "a", "b"))
 
-    def test_singleton_label_other_than_zero_is_refused(self):
-        # The document is the bare header "1", which parses back with label "0".
-        singleton = build_network(1, [])
-        with pytest.raises(BadParameter, match="label 'x' of an edgeless one-vertex network"):
-            format_edge_list(singleton, ("x",))
-        for labels in (None, ("0",)):
-            text = format_edge_list(singleton, labels)
-            assert text == "1\n"
-            assert parse_edge_list(text).labels == ("0",)
-
-    def test_singleton_labels_may_come_as_a_list(self):
-        singleton = build_network(1, [])
-        assert format_edge_list(singleton, ["0"]) == "1\n"
-        with pytest.raises(BadParameter, match="label 'x' of an edgeless one-vertex network"):
-            format_edge_list(singleton, ["x"])
+    def test_labels_may_come_as_a_list(self):
+        text = format_edge_list(build_network(2, [(0, 1)]), ["x", "y"])
+        assert text == "2\nx y\n"
+        assert parse_edge_list(text).labels == ("x", "y")
 
 
 class TestRoundTrip:

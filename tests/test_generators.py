@@ -33,7 +33,7 @@ class TestComplete:
         assert all(net.degree(v) == 4 for v in range(5))
 
     def test_too_small(self):
-        with pytest.raises(BadParameter):
+        with pytest.raises(BadParameter, match="at least two vertices, got vertex_count 1"):
             complete(1)
 
 

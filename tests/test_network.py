@@ -125,6 +125,25 @@ class TestBuild:
         with pytest.raises(BadParameter):
             build_network(0, [])
 
+    @pytest.mark.parametrize("build", [lambda: Network(0, ()), lambda: Network(1, ()), lambda: build_network(1, [])],
+                             ids=["Network-0", "Network-1", "build_network-1"])
+    def test_fewer_than_two_vertices_is_refused(self, build):
+        with pytest.raises(BadParameter, match=r"at least two vertices, got vertex_count [01]$"):
+            build()
+
+    def test_network_takes_pairs_as_unit_edges(self):
+        net = Network(3, ((0, 1), (1, 2, 2.0)))
+        assert net == build_network(3, [(0, 1), (1, 2, 2.0)])
+        assert net.edges == ((0, 1, 1.0), (1, 2, 2.0))
+
+    @pytest.mark.parametrize("record", [5, None, (0, 1, 1.0, 2), (0,)], ids=["int", "None", "four", "one"])
+    def test_record_neither_pair_nor_triple_is_refused(self, record):
+        message = r"expected \(a, b\) or \(a, b, conductance\), got "
+        with pytest.raises(InvalidEdge, match=message):
+            Network(2, (record,))
+        with pytest.raises(InvalidEdge, match=message):
+            build_network(2, [record])
+
     @pytest.mark.parametrize("edges", [[(0, 1.7), (1, 2.2)], [(0.0, 1.0), (1, 2)], [(False, True), (1, 2)],
                                        [(0, np.True_), (1, 2)]],
                              ids=["fractional", "integral", "bool", "numpy-bool"])

@@ -8,6 +8,7 @@ import pytest
 from ohmwalk import (
     BadParameter,
     BadVertexId,
+    NonUnitConductance,
     NumericalFailure,
     build_network,
     check_walk_regular,
@@ -166,6 +167,22 @@ class TestEffectiveResistance:
     def test_weak_bridge_is_numerical_failure_not_disconnected(self):
         with pytest.raises(NumericalFailure, match=r"2 eigenvalues .*smallest: "):
             effective_resistance_matrix(weak_bridge())
+
+    @pytest.mark.parametrize("c", [1e-310, 5e-324, 1e-308])
+    def test_resistances_past_float64_range_are_refused(self, c):
+        # The triangle's resistances are 2/(3c) and their sum 2/c: past the
+        # float64 range at 1e-310 and 5e-324, and the sum alone at 1e-308.
+        net = build_network(3, [(0, 1, c), (1, 2, c), (0, 2, c)])
+        with pytest.raises(NumericalFailure, match="past the float64 range"):
+            effective_resistance_matrix(net)
+        h = hitting_time_matrix(net).hitting
+        assert np.allclose(h[~np.eye(3, dtype=bool)], 2.0, rtol=REL, atol=0.0)
+
+    def test_resistances_inside_float64_range_near_its_end(self):
+        c = 1e-300
+        report = effective_resistance_matrix(build_network(3, [(0, 1, c), (1, 2, c), (0, 2, c)]))
+        assert np.allclose(report.resistance[~np.eye(3, dtype=bool)], 2 / (3 * c), rtol=REL, atol=0.0)
+        assert report.kirchhoff_index == pytest.approx(2 / c, rel=REL)
 
 
 class TestHittingTimes:
@@ -417,7 +434,9 @@ class TestReportsComputedOncePerNetwork:
         assert hitting_time_matrix(net) is stored
 
     def test_argument_checks_still_run(self):
-        single = build_network(1, [])
-        for route in (effective_resistance_matrix, hitting_time_matrix):
-            with pytest.raises(BadParameter, match="at least two vertices"):
-                route(single)
+        # The certificate's conductance check runs on every call, not only
+        # the first.
+        weighted = build_network(3, [(0, 1, 2.0), (1, 2), (0, 2)])
+        for _ in range(2):
+            with pytest.raises(NonUnitConductance):
+                check_walk_regular(weighted)
