@@ -8,15 +8,26 @@ depend on how walkers might be scheduled.
 
 All estimators run one kernel, ``_sample``. It builds each vertex's
 neighbor list and running conductance sums once, then walks every walker
-from a start vertex until it reaches a stop vertex, drawing one uniform
+from a start vertex until it reaches a stop vertex, taking one uniform
 per step, and records the step count and the number of visits to the start
 on the way. Walker seeds and generators are created one at a time as the
 walk loop asks for them, so only the current walker's are alive. A return
 time is a walk stopped at its own start, a hitting time one stopped at the
 target, and the excursion count is the number of returns before a walk
-from the anchor reaches the pendant tip. Step cap: a walk that reaches its
-stop on step ``MAX_WALK_STEPS`` counts; one that needs more raises
-:class:`WalkLengthExceeded`.
+from the anchor reaches the pendant tip.
+
+Each walker takes its uniforms in blocks, one ``Generator.random(k)`` call
+per block, with ``k`` doubling from ``_FIRST_BLOCK`` to ``_BLOCK_CAP``.
+``random(k)`` yields the same doubles as ``k`` scalar ``random()`` calls,
+and a walker's generator is read only by that walker and in order, so the
+walks are bit-identical to drawing one uniform per step; the unused tail of
+a walker's last block is dropped with its generator.
+
+Step cap: a walk that reaches its stop on step ``MAX_WALK_STEPS`` counts;
+one that needs more raises :class:`WalkLengthExceeded`. The cap is
+reachable: on two triangles joined by a ``1e-10`` bridge, the hitting time
+across the bridge is about 6e10 steps, so nearly every such walk runs the
+full 1e9 steps and then raises.
 
 Verification convention: an estimate agrees with an exact value when
 ``|mean - exact| <= 3 * stderr`` (roughly a 0.3% false-failure budget per
@@ -48,9 +59,15 @@ __all__ = [
     "excursion_count_check",
 ]
 
-# Defensive cap; unreachable on connected graphs except with astronomically
-# small probability.
+# Longest walk the kernel runs. It is reachable: on a network whose exact
+# hitting or return time is near or past 1e9 steps, such as one with a very
+# weak bridge, many walks meet it.
 MAX_WALK_STEPS = 10**9
+
+# Block sizes of the per-walker uniform draws: short walks waste few
+# draws, long walks make few calls, and no block outgrows the cap.
+_FIRST_BLOCK = 16
+_BLOCK_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -117,10 +134,15 @@ def _sample(net: Network, start: int, stop: int, samples: int, seed: int) -> tup
     """Walk each seeded walker from ``start`` until it is at ``stop``.
 
     From ``v`` a walk steps to the neighbor whose running conductance sum
-    is the first to exceed ``u * C_v``, ``u`` one uniform draw. Returns the
-    per-walker step counts and visits to ``start`` after the first step.
-    Every vertex has a neighbor to step to, since a :class:`Network` is
-    connected and has at least two vertices.
+    is the first to exceed ``u * C_v``, ``u`` the walker's next uniform.
+    Returns the per-walker step counts and visits to ``start`` after the
+    first step. Every vertex has a neighbor to step to, since a
+    :class:`Network` is connected and has at least two vertices.
+
+    A walker reads its uniforms from blocks of ``rng.random(k)``, ``k``
+    doubling up to ``_BLOCK_CAP``. A block holds the next ``k`` doubles of
+    the walker's own stream, exactly what ``k`` calls of ``rng.random()``
+    would return, so every walk is the one a draw per step would give.
 
     Raises:
         WalkLengthExceeded: a walk has not reached ``stop`` after
@@ -131,22 +153,26 @@ def _sample(net: Network, start: int, stop: int, samples: int, seed: int) -> tup
     cap = MAX_WALK_STEPS
     all_steps, all_returns = [], []
     for rng in _walker_rngs(seed, samples):
-        draw = rng.random
         v = start
         steps = returns = 0
-        while True:
-            sums = cumulative[v]
-            index = bisect_right(sums, draw() * sums[-1])
-            if index == len(sums):  # guards the measure-zero rounding edge
-                index -= 1
-            v = neighbors[v][index]
-            steps += 1
-            if v == stop:
-                break
-            if steps >= cap:
-                raise WalkLengthExceeded(f"walk {start} -> {stop} exceeded {cap} steps")
-            if v == start:
-                returns += 1
+        block = _FIRST_BLOCK
+        walking = True
+        while walking:
+            for u in rng.random(block).tolist():
+                sums = cumulative[v]
+                index = bisect_right(sums, u * sums[-1])
+                if index == len(sums):  # guards the measure-zero rounding edge
+                    index -= 1
+                v = neighbors[v][index]
+                steps += 1
+                if v == stop:
+                    walking = False
+                    break
+                if steps >= cap:
+                    raise WalkLengthExceeded(f"walk {start} -> {stop} exceeded {cap} steps")
+                if v == start:
+                    returns += 1
+            block = min(2 * block, _BLOCK_CAP)
         all_steps.append(steps)
         all_returns.append(returns)
     return all_steps, all_returns

@@ -112,13 +112,17 @@ def _resistances(net: Network) -> ResistanceReport:
         )
     scaled = vectors[:, 1:] / np.sqrt(eigenvalues[1:])
     # A resistance past the float64 range comes out inf or nan, and so does
-    # the sum then, so the one finite test on the sum judges them all.
+    # the sum then, so the one finite test on the sum judges them all. The
+    # full sum is twice the index, so an index near the top of the range
+    # overflows it; only then are the halves summed instead.
     with np.errstate(over="ignore", invalid="ignore"):
         pinv = scaled @ scaled.T
         diag = np.diag(pinv)
         resistance = diag[:, None] + diag[None, :] - 2.0 * pinv
         np.fill_diagonal(resistance, 0.0)
         kirchhoff = float(resistance.sum() / 2.0)
+        if not math.isfinite(kirchhoff):
+            kirchhoff = float((resistance / 2.0).sum())
     if not math.isfinite(kirchhoff):
         raise NumericalFailure("effective resistances or their sum are past the float64 range")
     resistance.setflags(write=False)

@@ -321,6 +321,12 @@ class TestErrorChannel:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "past the float64 range" in err
 
+    def test_kirchhoff_index_near_the_end_of_float64_range(self, capsys, monkeypatch):
+        feed_stdin(monkeypatch, "a b 1.3e-308\nb c 1.3e-308\nc a 1.3e-308\n")
+        code, out, err = run(capsys, "kirchhoff")
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(2 / 1.3e-308, rel=1e-9)
+
     def test_malformed_document(self, capsys, monkeypatch):
         feed_stdin(monkeypatch, "a a\n")
         code, _, err = run(capsys, "kirchhoff")

@@ -270,15 +270,21 @@ KERNEL_CASES = [
     ("return", weighted_triangle(), (0,)),
     ("return", cycle(7), (3,)),
     ("return", hypercube(3), (0,)),
+    ("return", hypercube(4), (0,)),
     ("hitting", weighted_triangle(), (0, 2)),
     ("hitting", cycle(6), (0, 3)),
     ("hitting", petersen(), (0, 5)),
+    ("hitting", cycle(30), (0, 15)),
     ("pendant", k3(), (0,)),
     ("pendant", weighted_triangle(), (1,)),
     ("excursion", weighted_triangle(), (0,)),
     ("excursion", k3(), (0,)),
     ("excursion", cycle(5), (2,)),
+    ("excursion", cycle(12), (0,)),
 ]
+# The Q_4 return, cycle(30) hitting and cycle(12) excursion walks average
+# 16, 225 and 25 steps, so many of them read past the first block of
+# uniforms and the cycle(30) ones past several.
 KERNEL_IDS = [f"{kind}-n{net.vertex_count}-{args}" for kind, net, args in KERNEL_CASES]
 
 
@@ -291,6 +297,29 @@ class TestKernelMatchesLoops:
 
 
 class TestStepCap:
+    @pytest.mark.parametrize(
+        "length",
+        [
+            mc._FIRST_BLOCK - 1,
+            mc._FIRST_BLOCK,
+            mc._FIRST_BLOCK + 1,
+            3 * mc._FIRST_BLOCK - 1,
+            3 * mc._FIRST_BLOCK,
+            3 * mc._FIRST_BLOCK + 1,
+        ],
+    )
+    def test_cap_at_a_block_boundary(self, length, monkeypatch):
+        # The first block ends after step _FIRST_BLOCK, the second after
+        # step 3 * _FIRST_BLOCK; the single walk of the first seed that
+        # takes ``length`` steps ends just before, on or after that step.
+        net = cycle(11)
+        seed = next(s for s in range(10_000) if hitting_walks_by_loop(net, 0, 5, 1, s) == [length])
+        monkeypatch.setattr(mc, "MAX_WALK_STEPS", length)
+        assert estimate_hitting_time(net, 0, 5, 1, seed).mean == length
+        monkeypatch.setattr(mc, "MAX_WALK_STEPS", length - 1)
+        with pytest.raises(WalkLengthExceeded, match=f"exceeded {length - 1} steps"):
+            estimate_hitting_time(net, 0, 5, 1, seed)
+
     def test_hitting_done_on_the_capped_step_counts(self, monkeypatch):
         monkeypatch.setattr(mc, "MAX_WALK_STEPS", 1)
         assert estimate_hitting_time(complete(2), 0, 1, 20, 3).mean == 1.0

@@ -178,8 +178,10 @@ class TestEffectiveResistance:
         h = hitting_time_matrix(net).hitting
         assert np.allclose(h[~np.eye(3, dtype=bool)], 2.0, rtol=REL, atol=0.0)
 
-    def test_resistances_inside_float64_range_near_its_end(self):
-        c = 1e-300
+    @pytest.mark.parametrize("c", [1e-300, 1.3e-308])
+    def test_resistances_inside_float64_range_near_its_end(self, c):
+        # At 1.3e-308 the index 2/c fits float64 but the full sum, twice
+        # the index, does not.
         report = effective_resistance_matrix(build_network(3, [(0, 1, c), (1, 2, c), (0, 2, c)]))
         assert np.allclose(report.resistance[~np.eye(3, dtype=bool)], 2 / (3 * c), rtol=REL, atol=0.0)
         assert report.kirchhoff_index == pytest.approx(2 / c, rel=REL)
