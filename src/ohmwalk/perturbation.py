@@ -7,10 +7,13 @@ walk-regular graphs the hitting time across the deleted edge follows the
 same way, scaled by the remaining edge count. Each closed form is paired
 here with a direct recomputation on the edge-deleted graph so callers can
 compare predicted against recomputed values. The original graph's
-resistances come from its eigendecomposition; the edge-deleted graph is
-recomputed by one grounded solve, its resistances read off the commute
-times as ``R' = commute' / C'`` (Chandra et al. 1989), so each closed form
-is checked against a different factorisation than the one it started from.
+resistances come from its eigendecomposition. The edge-deleted graph is
+recomputed by its own grounded solve of the parent's Laplacian less the
+unit edge, which gives the two hitting times across the edge (Tetali
+1991), the resistance ``R' = (H'_ab + H'_ba) / C'`` (Chandra et al. 1989)
+and the Kirchhoff index ``n tr(G') - 1^T G' 1`` (Ghosh, Boyd & Saberi
+2008). So each closed form is checked against a different factorisation
+than the one it started from, and never against an update of it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional
 
 from .errors import BadParameter, CutEdgeResistance, NonUnitConductance
 from .network import EdgeRef, Network, _require_integer
-from .solver import effective_resistance_matrix, hitting_time_matrix
+from .solver import _ground, effective_resistance_matrix, hitting_time_matrix
 from .walk_regular import check_walk_regular
 
 __all__ = [
@@ -116,11 +119,14 @@ def analyze_edge_removal(net: Network, a: int, b: int) -> PerturbationReport:
     """Full before/after comparison for deleting edge {a, b}.
 
     Computes exact resistance, hitting, and Kirchhoff quantities on the
-    original graph, evaluates the closed-form predictions, then rebuilds
-    the edge-deleted graph and recomputes everything directly from one
-    grounded solve of it: with total strength ``C'``, the resistance is
-    ``R'_ab = commute'_ab / C'`` and the Kirchhoff index is
-    ``sum(commute') / (2 C')``.
+    original graph and evaluates the closed-form predictions. The direct
+    values come from one fresh grounded solve of the edge-deleted graph's
+    Laplacian ``L'``, which is the original's with the unit edge taken out,
+    exactly. With its grounded inverse ``G'`` and total strength
+    ``C' = C - 2``, the hitting times ``H'_ab`` and ``H'_ba`` are read as
+    :func:`hitting_time_matrix` would give them, bit for bit, then
+    ``R'_ab = (H'_ab + H'_ba) / C'`` and the Kirchhoff index is
+    ``n tr(G') - 1^T G' 1``.
 
     Raises:
         BadVertexId: an endpoint is not a vertex.
@@ -128,7 +134,7 @@ def analyze_edge_removal(net: Network, a: int, b: int) -> PerturbationReport:
         WouldDisconnect: {a, b} is a cut-edge.
         NonUnitConductance: the closed forms assume unit conductances.
     """
-    reduced = net.remove_edge(a, b)
+    net.remove_edge(a, b)  # refuses missing and cut edges before any indexing
     if not net.is_unit_conductance:
         raise NonUnitConductance("edge-removal analysis assumes unit conductances")
 
@@ -137,8 +143,16 @@ def analyze_edge_removal(net: Network, a: int, b: int) -> PerturbationReport:
     r_before = float(resistance.resistance[a, b])
     certificate = check_walk_regular(net)
 
-    hitting_after = hitting_time_matrix(reduced)
-    total_after = reduced.total_strength
+    lap = net._laplacian.copy()
+    lap[a, b] = lap[b, a] = 0.0
+    lap[a, a] -= 1.0
+    lap[b, b] -= 1.0
+    total_after = net.total_strength - 2.0
+    green, potential, scale = _ground(lap, total_after)
+    # The operations and their order are those of hitting_time_matrix.
+    hitting_ab = (green[b, b] - green[a, b]) * scale + potential[a] - potential[b]
+    hitting_ba = (green[a, a] - green[b, a]) * scale + potential[b] - potential[a]
+    kirchhoff_after = scale * (net.vertex_count * green.trace() - green.sum()) / total_after
 
     predicted_hit: Optional[float] = None
     if certificate.is_walk_regular:
@@ -148,12 +162,12 @@ def analyze_edge_removal(net: Network, a: int, b: int) -> PerturbationReport:
         edge=EdgeRef(a, b),
         r_before=r_before,
         r_after_predicted=predicted_removed_resistance(r_before),
-        r_after_direct=float(hitting_after.commute[a, b] / total_after),
+        r_after_direct=float((hitting_ab + hitting_ba) / total_after),
         r_increment=resistance_increment(r_before),
         hitting_before=float(hitting.hitting[a, b]),
         hitting_after_predicted=predicted_hit,
-        hitting_after_direct=float(hitting_after.hitting[a, b]),
+        hitting_after_direct=float(hitting_ab),
         kirchhoff_before=resistance.kirchhoff_index,
-        kirchhoff_after=float(hitting_after.commute.sum() / (2.0 * total_after)),
+        kirchhoff_after=float(kirchhoff_after),
         walk_regular=certificate.is_walk_regular,
     )

@@ -13,7 +13,12 @@ factorisations are used on purpose, so that the suite's
   time at once.
 
 Both read the Laplacian that the :class:`Network` builds once and caches.
-Return times need neither: they are the closed form ``C / C_z``.
+Return times need neither: they are the closed form ``C / C_z``. The
+grounded solve is one private step, ``_ground``. Edge-removal analysis
+applies it to the parent's Laplacian less the deleted unit edge and reads
+off it the two hitting times across the edge and the Kirchhoff index
+``n tr(G') - 1^T G' 1``, so no all-pairs report is built for the
+edge-deleted network.
 Everything here is deterministic and pure; inputs are never mutated. Each
 network computes each report once, on the first call, and every later call
 returns that same report: the reports are frozen and their arrays
@@ -151,8 +156,30 @@ def hitting_time_matrix(net: Network) -> HittingReport:
 
 
 def _hitting_times(net: Network) -> HittingReport:
-    n = net.vertex_count
-    lap = net._laplacian
+    green, potential, scale = _ground(net._laplacian, net.total_strength)
+    hitting = np.diag(green) - green
+    hitting *= scale
+    hitting += potential[:, None]
+    hitting -= potential
+    np.fill_diagonal(hitting, 0.0)
+    commute = hitting + hitting.T
+    hitting.setflags(write=False)
+    commute.setflags(write=False)
+    return HittingReport(hitting=hitting, commute=commute)
+
+
+def _ground(lap: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """One grounded solve of the Laplacian ``lap`` whose total strength is ``total``.
+
+    Returns ``(green, potential, scale)``. With ``2^k`` the power of two
+    that brings the largest strength into [1/2, 1), ``green`` is the
+    symmetrised inverse of ``2^k lap`` grounded at its strongest vertex,
+    so the grounded inverse of :func:`hitting_time_matrix` is
+    ``G = 2^k green``; ``potential`` is ``G s``, ``s`` the strengths; and
+    ``scale`` is ``2^k C``, so ``scale * green`` is ``C G``. ``lap`` is not
+    changed.
+    """
+    n = lap.shape[0]
     strengths = np.diag(lap)
     # Ground at the strongest vertex: on random graphs with conductances
     # spread over six decades this kept hitting times within 3e-11 of an
@@ -175,16 +202,7 @@ def _hitting_times(net: Network) -> HittingReport:
     green[g, g] = 0.0
     green += green.T
     green /= 2.0
-    potential = green @ strengths
-    hitting = np.diag(green) - green
-    hitting *= math.ldexp(net.total_strength, exponent)
-    hitting += potential[:, None]
-    hitting -= potential
-    np.fill_diagonal(hitting, 0.0)
-    commute = hitting + hitting.T
-    hitting.setflags(write=False)
-    commute.setflags(write=False)
-    return HittingReport(hitting=hitting, commute=commute)
+    return green, green @ strengths, math.ldexp(total, exponent)
 
 
 def return_time(net: Network, z: int) -> float:

@@ -28,7 +28,7 @@ from ohmwalk import (
     resistance_increment,
     unitary_cayley,
 )
-from ohmwalk import walk_regular
+from ohmwalk import perturbation, solver, walk_regular
 from support import (
     CUBIC_UNEVEN_TRIANGLES,
     WEIGHTED_TRIANGLE,
@@ -228,9 +228,11 @@ class TestEveryEdgeOfOneNetwork:
         count(np.linalg, "eigh")
         count(np.linalg, "solve")
         count(walk_regular, "_certify")
+        count(solver, "_hitting_times")
         reports = [analyze_edge_removal(net, a, b) for a, b in edges]
         k = len(edges)
-        assert counts == {"eigh": 1, "solve": 1 + k, "_certify": 1}
+        # Each edge-deleted network gets its own solve, but no all-pairs report.
+        assert counts == {"eigh": 1, "solve": 1 + k, "_certify": 1, "_hitting_times": 1}
         monkeypatch.undo()
         fresh = [analyze_edge_removal(build_network(net.vertex_count, net.edges), a, b) for a, b in edges]
         assert reports == fresh
@@ -269,10 +271,40 @@ def test_prediction_and_monotonicity_exhaustive(n):
             assert np.all(after >= before - 1e-12)
 
 
+def assert_direct_side_is_the_reduced_networks(removals, monkeypatch):
+    """The report's direct values on each ``(net, a, b)`` against the
+    reduced network's own all-pairs report: hitting time and resistance bit
+    for bit, the Kirchhoff index within REL, and the Laplacian solved is the
+    reduced network's, entry for entry."""
+    solved = []
+    ground = solver._ground
+
+    def recording(lap, total):
+        solved.append(lap.copy())
+        return ground(lap, total)
+
+    monkeypatch.setattr(perturbation, "_ground", recording)
+    for net, a, b in removals:
+        report = analyze_edge_removal(net, a, b)
+        reduced = net.remove_edge(a, b)
+        after = hitting_time_matrix(reduced)
+        total = reduced.total_strength
+        assert np.array_equal(solved.pop(), reduced._laplacian)
+        assert report.hitting_after_direct == after.hitting[a, b]
+        assert report.r_after_direct == after.commute[a, b] / total
+        assert report.kirchhoff_after == pytest.approx(after.commute.sum() / (2 * total), rel=REL)
+    assert solved == []
+
+
 class TestExhaustiveFiveVertexEnumeration:
+    def test_direct_side_is_the_reduced_networks(self, removals, monkeypatch):
+        triples = [(net, a, b) for net, (a, b), _, _ in removals]
+        assert_direct_side_is_the_reduced_networks(triples, monkeypatch)
+
     def test_direct_values_match_the_pseudoinverse_route(self, removals):
-        # The report reads R' and Kf' off the reduced network's grounded
-        # solve as commute' / C'; ``after`` comes from its eigendecomposition.
+        # The report solves the parent's Laplacian less the unit edge and
+        # reads R' = (H'_ab + H'_ba) / C' and Kf' = n tr(G') - 1^T G' 1 off
+        # it; ``after`` comes from the reduced network's eigendecomposition.
         for net, (a, b), _, after in removals:
             report = analyze_edge_removal(net, a, b)
             assert report.r_after_direct == pytest.approx(after[a, b], rel=REL)
@@ -359,3 +391,36 @@ def test_direct_resistance_matches_exact_commute_time(net):
     commute = hitting_times_by_fractions(reduced, b)[a] + hitting_times_by_fractions(reduced, a)[b]
     exact = float(commute / (2 * len(kept)))
     assert analyze_edge_removal(net, a, b).r_after_direct == pytest.approx(exact, rel=REL)
+
+
+@pytest.mark.parametrize("net", WALK_REGULAR_CORPUS, ids=lambda g: f"n{g.vertex_count}m{g.edge_count}")
+def test_direct_side_is_the_reduced_networks_on_walk_regular_corpus(net, monkeypatch):
+    triples = [(net, a, b) for a, b, _ in net.edges if not net.is_cut_edge(a, b)]
+    assert_direct_side_is_the_reduced_networks(triples, monkeypatch)
+
+
+def test_closed_forms_over_the_graph_atlas():
+    # Every non-bridge edge of every connected graph on 3..7 vertices, one
+    # per isomorphism class (Read & Wilson, An Atlas of Graphs). networkx
+    # names the bridges, independently of the library's cut-edge search.
+    nx = pytest.importorskip("networkx")
+    removals = walk_regular_removals = 0
+    for graph in nx.graph_atlas_g():
+        n = graph.number_of_nodes()
+        if not 3 <= n <= 7 or not nx.is_connected(graph):
+            continue
+        net = build_network(n, list(graph.edges))
+        bridges = {(min(e), max(e)) for e in nx.bridges(graph)}
+        for a, b, _ in net.edges:
+            if (a, b) in bridges:
+                with pytest.raises(WouldDisconnect):
+                    analyze_edge_removal(net, a, b)
+                continue
+            report = analyze_edge_removal(net, a, b)
+            assert abs(report.r_after_predicted - report.r_after_direct) <= REL * report.r_after_direct
+            removals += 1
+            if report.walk_regular:
+                predicted, direct = report.hitting_after_predicted, report.hitting_after_direct
+                assert abs(predicted - direct) <= REL * direct
+                walk_regular_removals += 1
+    assert (removals, walk_regular_removals) == (9909, 121)
