@@ -10,11 +10,16 @@ All estimators run one kernel, ``_sample``. It builds each vertex's
 neighbor list and running conductance sums once, then walks every walker
 from a start vertex until it reaches a stop vertex, taking one uniform
 per step, and records the step count and the number of visits to the start
-on the way. Walker seeds and generators are created one at a time as the
-walk loop asks for them, so only the current walker's are alive. A return
-time is a walk stopped at its own start, a hitting time one stopped at the
-target, and the excursion count is the number of returns before a walk
-from the anchor reaches the pendant tip.
+on the way. A vertex whose strength is below 1/2 has its running sums
+scaled exactly by a power of two into [1/2, 1): on a subnormal strength
+``C_v`` the product ``u * C_v`` takes only a few values and can round up
+to ``C_v``, while on a strength of at least 1/2 it stays below ``C_v`` for
+every uniform ``u < 1``, so some neighbor's running sum always exceeds it.
+Walker seeds and generators are created one at a time as the walk loop
+asks for them, so only the current walker's are alive. A return time is a
+walk stopped at its own start, a hitting time one stopped at the target,
+and the excursion count is the number of returns before a walk from the
+anchor reaches the pendant tip.
 
 Each walker takes its uniforms in blocks, one ``Generator.random(k)`` call
 per block, with ``k`` doubling from ``_FIRST_BLOCK`` to ``_BLOCK_CAP``.
@@ -41,7 +46,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -130,11 +135,24 @@ def _summarize(values: list[int], seed: int) -> McEstimate:
     return McEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)
 
 
+def _scaled_sums(conductances: Iterable[float]) -> list[float]:
+    """Running sums of ``conductances``, scaled by the power of two that
+    brings a total below 1/2 into [1/2, 1).
+
+    The scaling is exact. A total of at least 1/2 is left as it is, so no
+    running sum can be flushed to zero.
+    """
+    sums = list(accumulate(conductances))
+    shift = -math.frexp(sums[-1])[1]
+    return [math.ldexp(s, shift) for s in sums] if shift > 0 else sums
+
+
 def _sample(net: Network, start: int, stop: int, samples: int, seed: int) -> tuple[list[int], list[int]]:
     """Walk each seeded walker from ``start`` until it is at ``stop``.
 
     From ``v`` a walk steps to the neighbor whose running conductance sum
-    is the first to exceed ``u * C_v``, ``u`` the walker's next uniform.
+    is the first to exceed ``u * C_v``, ``u`` the walker's next uniform,
+    with the sums and ``C_v`` scaled as :func:`_scaled_sums` does.
     Returns the per-walker step counts and visits to ``start`` after the
     first step. Every vertex has a neighbor to step to, since a
     :class:`Network` is connected and has at least two vertices.
@@ -149,7 +167,7 @@ def _sample(net: Network, start: int, stop: int, samples: int, seed: int) -> tup
             ``MAX_WALK_STEPS`` steps.
     """
     neighbors = [list(d) for d in net._adjacency]
-    cumulative = [list(accumulate(d.values())) for d in net._adjacency]
+    cumulative = [_scaled_sums(d.values()) for d in net._adjacency]
     cap = MAX_WALK_STEPS
     all_steps, all_returns = [], []
     for rng in _walker_rngs(seed, samples):
@@ -160,10 +178,7 @@ def _sample(net: Network, start: int, stop: int, samples: int, seed: int) -> tup
         while walking:
             for u in rng.random(block).tolist():
                 sums = cumulative[v]
-                index = bisect_right(sums, u * sums[-1])
-                if index == len(sums):  # guards the measure-zero rounding edge
-                    index -= 1
-                v = neighbors[v][index]
+                v = neighbors[v][bisect_right(sums, u * sums[-1])]
                 steps += 1
                 if v == stop:
                     walking = False
@@ -206,9 +221,11 @@ def verify_pendant_identities(net: Network, z: int, samples: int, seed: int) -> 
     vertex strength times the return time plus one.
     """
     extended, tip = net.add_pendant_vertex(z, 1.0)
-    lhs = estimate_hitting_time(extended, z, tip, samples, seed)
+    # The closed forms come first, so a return time past the float64 range
+    # is refused before any walk.
     c_plus_1 = net.total_strength + 1.0
     cz_formula = net.vertex_strength(z) * return_time(net, z) + 1.0
+    lhs = estimate_hitting_time(extended, z, tip, samples, seed)
     return PendantIdentityCheck(lhs=lhs, c_plus_1=c_plus_1, cz_formula=cz_formula)
 
 

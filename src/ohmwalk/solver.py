@@ -116,18 +116,17 @@ def _resistances(net: Network) -> ResistanceReport:
             f"({largest:.3g}) instead of one zero mode; smallest: {smallest}"
         )
     scaled = vectors[:, 1:] / np.sqrt(eigenvalues[1:])
-    # A resistance past the float64 range comes out inf or nan, and so does
-    # the sum then, so the one finite test on the sum judges them all. The
-    # full sum is twice the index, so an index near the top of the range
-    # overflows it; only then are the halves summed instead.
+    # The halves ``(P_aa + P_bb) / 2 - P_ab`` sum to the index, so it stays
+    # finite wherever float64 holds it; doubling them is exact, and their
+    # diagonal is exactly zero. Each resistance is at most the index, so one
+    # past the float64 range makes the sum inf or nan, and the one finite
+    # test on the sum judges them all.
     with np.errstate(over="ignore", invalid="ignore"):
         pinv = scaled @ scaled.T
         diag = np.diag(pinv)
-        resistance = diag[:, None] + diag[None, :] - 2.0 * pinv
-        np.fill_diagonal(resistance, 0.0)
-        kirchhoff = float(resistance.sum() / 2.0)
-        if not math.isfinite(kirchhoff):
-            kirchhoff = float((resistance / 2.0).sum())
+        resistance = (diag[:, None] + diag[None, :]) / 2.0 - pinv
+        kirchhoff = float(resistance.sum())
+        resistance *= 2.0
     if not math.isfinite(kirchhoff):
         raise NumericalFailure("effective resistances or their sum are past the float64 range")
     resistance.setflags(write=False)
@@ -151,17 +150,27 @@ def hitting_time_matrix(net: Network) -> HittingReport:
 
     The report is computed once per network; later calls return the same
     read-only report.
+
+    Raises:
+        NumericalFailure: the grounded Laplacian is singular in float64, or
+            a hitting time is past the float64 range, as when the grounded
+            inverse overflows across conductances ``1e300`` and ``1e-10``.
     """
     return net._report("_hitting_report", _hitting_times)
 
 
 def _hitting_times(net: Network) -> HittingReport:
-    green, potential, scale = _ground(net._laplacian, net.total_strength)
-    hitting = np.diag(green) - green
-    hitting *= scale
-    hitting += potential[:, None]
-    hitting -= potential
-    np.fill_diagonal(hitting, 0.0)
+    # A grounded inverse past the float64 range leaves inf or nan in the
+    # hitting times; the finite test below refuses them. A finite report's
+    # diagonal is exactly zero: ``(G_aa - G_aa) C + (G s)_a - (G s)_a``.
+    with np.errstate(over="ignore", invalid="ignore"):
+        green, potential, scale = _ground(net._laplacian, net.total_strength)
+        hitting = np.diag(green) - green
+        hitting *= scale
+        hitting += potential[:, None]
+        hitting -= potential
+    if not np.isfinite(hitting).all():
+        raise NumericalFailure("hitting times are past the float64 range")
     commute = hitting + hitting.T
     hitting.setflags(write=False)
     commute.setflags(write=False)
@@ -211,5 +220,13 @@ def return_time(net: Network, z: int) -> float:
     This closed form is the only route. The test suite checks it against
     the first-step relation ``1 + sum_y P[z, y] H[y, z]`` over the hitting
     times of :func:`hitting_time_matrix`.
+
+    Raises:
+        NumericalFailure: the return time is past the float64 range, as at
+            a vertex of strength ``1e-10`` in a network of total strength
+            ``2e300``.
     """
-    return net.total_strength / net.vertex_strength(z)
+    value = net.total_strength / net.vertex_strength(z)
+    if not math.isfinite(value):
+        raise NumericalFailure("return time C / C_z is past the float64 range")
+    return value

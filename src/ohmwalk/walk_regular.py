@@ -19,8 +19,9 @@ counts of length ``k`` are. A mismatch found at some ``k <= t`` is therefore
 exact and the first one at any length, whatever ``p`` is; a pass without
 one ends with ``p(A)``, which must vanish, and a pass that reaches degree
 ``n - 1`` has checked every ``k < n``, which Cayley-Hamilton makes enough.
-The certificate plans two passes: one on a candidate ``p`` read off the
-float spectrum, with its coefficients rounded, and the plain scan on
+The certificate runs at most two passes, in a fixed order: first one on a
+candidate ``p`` read off the float spectrum, with its coefficients
+rounded, then, only when that pass does not decide, the plain scan on
 ``x^(n-1)``. No float tolerance enters the verdict: a wrong candidate only
 costs time, as its pass neither finds a mismatch nor ends at zero and the
 plain scan decides instead.
@@ -33,13 +34,11 @@ at most ``sum |c_i| d^i``, which the leading 1 takes to at least ``d^t``.
 Once the product of the primes exceeds that sum, counts that agree modulo
 every prime are equal, counts that differ modulo any prime differ, and
 ``p(A)`` vanishing modulo every prime vanishes: verdict and witness are the
-exact ones. Each pass is planned the same way: its count bound, the
-table's leading primes whose product exceeds it, and a cost of ``t - 1``
-products on a stack of that many primes. The candidate's pass runs first
-only when it costs less than the plain scan. When ``d^(n-1)`` is past the
-whole table, the plain scan cannot run, and the candidate's pass alone
-certifies, or the certificate refuses. The memory limit below is checked
-against the primes a pass will use before its residues are allocated.
+exact ones. Each pass runs on the table's leading primes whose product
+exceeds its count bound. When ``d^(n-1)`` is past the whole table, the
+plain scan cannot run, and the candidate's pass alone certifies, or the
+certificate refuses. The memory limit below is checked against the primes
+a pass will use before its residues are allocated.
 
 Residues are carried in float64 so that every Horner step is one BLAS
 matrix product over the stack of primes. An entry of ``acc @ A`` sums at
@@ -229,29 +228,17 @@ def _candidate(adjacency: np.ndarray) -> Optional[list[int]]:
     return rounded
 
 
-def _plan(coefficients: list[int], degree: int) -> Optional[tuple[int, list[int], tuple[int, ...]]]:
-    """``(cost, coefficients, primes)`` of a pass over the monic polynomial
-    with ``coefficients`` ``c_0..c_(t-1), 1``.
-
-    Its primes are the leading ones of the table whose product exceeds the
-    count bound ``sum |c_i| d^i``, and its cost is its ``t - 1`` matrix
-    products on a stack of that many primes. None when the table runs out
-    first.
-    """
-    bound = sum(abs(c) * degree**i for i, c in enumerate(coefficients) if c)
-    primes = _leading_primes(degree, bound, _PRIMES)
-    return None if primes is None else ((len(coefficients) - 2) * len(primes), coefficients, primes)
-
-
 def _first_violation(net: Network, degree: int) -> Optional[WalkCountMismatch]:
     """First ``(k, 0, y)`` whose closed-walk counts differ, for ``2 <= k < n``.
 
-    Two passes are planned: the plain scan on ``x^(n-1)``, whose count
-    bound is ``d^(n-1)``, and the candidate's. The cheaper runs first, the
-    plain scan on a tie. A pass decides when it finds a mismatch or proves
+    The candidate's pass runs first, on the leading primes of the table
+    whose product exceeds its count bound ``sum |c_i| d^i``. The plain scan
+    on ``x^(n-1)``, whose count bound is ``d^(n-1)``, runs only when there
+    is no candidate, its count bound is past the table, or its pass does
+    not decide. A pass decides when it finds a mismatch or proves
     ``p(A) = 0``; the plain scan, which checks every ``k < n``, decides
-    whatever it ends at. A pass whose count bound is past the table has no
-    plan, so there only the candidate's pass can run.
+    whatever it ends at. Past the table the plain scan cannot run, so there
+    only the candidate's pass can certify.
 
     A connected graph has more distinct adjacency eigenvalues ``t`` than its
     diameter (Brouwer & Haemers, *Spectra of Graphs*, 2012, ch. 1), so past
@@ -265,15 +252,18 @@ def _first_violation(net: Network, degree: int) -> Optional[WalkCountMismatch]:
             prime table decides.
     """
     n = net.vertex_count
-    plain = _plan([0] * (n - 1) + [1], degree)
-    least = plain[2] if plain else _leading_primes(degree, degree ** max(net._tree[1]), _PRIMES)
+    plain = _leading_primes(degree, degree ** (n - 1), _PRIMES)
+    least = plain or _leading_primes(degree, degree ** max(net._tree[1]), _PRIMES)
     if least is not None:
         _admit(n, least)
         # Off the diagonal, a unit-conductance Laplacian is minus the adjacency.
         adjacency = (net._laplacian < 0.0).astype(np.float64)
-        candidate = _candidate(adjacency)
-        plans = [plain, None if candidate is None else _plan(candidate, degree)]
-        for _, coefficients, primes in sorted(filter(None, plans), key=lambda plan: plan[0]):
+        # The candidate's pass, when there is a candidate, then the plain scan.
+        for coefficients in filter(None, (_candidate(adjacency), [0] * (n - 1) + [1])):
+            bound = sum(abs(c) * degree**i for i, c in enumerate(coefficients) if c)
+            primes = _leading_primes(degree, bound, _PRIMES)
+            if primes is None:  # the count bound is past the table
+                continue
             _admit(n, primes)
             violation, vanished = _scan(adjacency, degree, primes, coefficients)
             # A pass of degree n - 1 or more has checked every k < n.
@@ -288,7 +278,7 @@ def check_walk_regular(net: Network) -> WalkRegularityReport:
     Raises:
         NonUnitConductance: the check is combinatorial and only defined for
             the unweighted graph.
-        BadParameter: the graph is regular but no planned pass certifies
+        BadParameter: the graph is regular but no pass certifies
             it exactly: the count bound of every pass that would decide is
             past the prime table, a needed prime is too large for the
             degree, or a pass's residues would need more than
@@ -309,7 +299,7 @@ def _certify(net: Network) -> WalkRegularityReport:
         return WalkRegularityReport(
             is_regular=False, is_walk_regular=False, first_violation=None, checked_k_max=1
         )
-    violation = _first_violation(net, degrees.pop()) if n > 2 else None  # lengths 2..n-1 exist
+    violation = _first_violation(net, degrees.pop())
     return WalkRegularityReport(
         is_regular=True,
         is_walk_regular=violation is None,

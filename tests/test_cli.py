@@ -344,6 +344,26 @@ class TestErrorChannel:
         assert err.startswith("error:") and "past the float64 range" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("query", [
+        ["hitting", "--from", "2", "--to", "0"],
+        ["return-time", "--vertex", "2"],
+        ["mc-verify", "--what", "hitting", "--from", "2", "--to", "0", "--samples", "10", "--seed", "1"],
+        ["mc-verify", "--what", "return", "--vertex", "2", "--samples", "10", "--seed", "1"],
+        ["mc-verify", "--what", "pendant", "--vertex", "2", "--samples", "10", "--seed", "1"],
+    ], ids=["hitting", "return-time", "mc-hitting", "mc-return", "mc-pendant"])
+    def test_times_past_float64_range(self, query, capsys, monkeypatch):
+        # Hitting times printed nan and return times inf here, with exit 0;
+        # a walker of mc-verify --what return cycled to the step cap.
+        def no_walk(*args):
+            raise AssertionError("walked before the exact value was refused")
+
+        monkeypatch.setattr("ohmwalk.montecarlo._sample", no_walk)
+        feed_stdin(monkeypatch, "0 1 1e300\n1 2 1e-10\n")
+        code, out, err = run(capsys, *query)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "past the float64 range" in err
+        assert "nan" not in err
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2

@@ -8,6 +8,7 @@ import ohmwalk.montecarlo as mc
 from ohmwalk import (
     BadParameter,
     BadVertexId,
+    NumericalFailure,
     WalkLengthExceeded,
     build_network,
     complete,
@@ -15,6 +16,7 @@ from ohmwalk import (
     estimate_hitting_time,
     estimate_return_time,
     excursion_count_check,
+    hitting_time_matrix,
     hypercube,
     petersen,
     return_time,
@@ -294,6 +296,38 @@ class TestKernelMatchesLoops:
     def test_estimates_equal_the_loop_oracle(self, kind, net, args, seed):
         estimate, oracle, _ = _with_oracle(kind, net, args, 400, seed)
         assert estimate == oracle
+
+
+class TestSubnormalStrengths:
+    # Conductances 1, 2 and 3 times the least subnormal, 5e-324.
+    SUBNORMAL_TRIANGLE = [(0, 1, 5e-324), (1, 2, 1e-323), (0, 2, 1.5e-323)]
+
+    def test_estimates_agree_with_the_exact_values(self):
+        # Unscaled, u * C_v took a handful of values here, and 3000 return
+        # walks from 0 read 3.642 against the exact 3.
+        net = build_network(3, self.SUBNORMAL_TRIANGLE)
+        est = estimate_return_time(net, 0, 20_000, 17)
+        assert abs(est.mean - return_time(net, 0)) <= 3.0 * est.stderr
+        est = estimate_hitting_time(net, 0, 1, 20_000, 17)
+        assert abs(est.mean - hitting_time_matrix(net).hitting[0, 1]) <= 3.0 * est.stderr
+
+    @pytest.mark.parametrize("kind, args", [("return", (0,)), ("hitting", (0, 2)), ("pendant", (1,)),
+                                            ("excursion", (0,))])
+    def test_tiny_normal_strengths_walk_as_the_loop_oracle(self, kind, args):
+        # Every strength is above 2^-969, so u * C_v stays normal for every
+        # uniform u >= 2^-53 and the exact power-of-two scaling changes no walk.
+        net = build_network(3, [(a, b, c * 1e-290) for a, b, c in WEIGHTED_TRIANGLE])
+        estimate, oracle, _ = _with_oracle(kind, net, args, 400, 42)
+        assert estimate == oracle
+
+    def test_pendant_closed_forms_are_refused_before_walking(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("walked before the return time was refused")
+
+        monkeypatch.setattr(mc, "_sample", no_walk)
+        net = build_network(3, [(0, 1, 1e300), (1, 2, 1e-10)])
+        with pytest.raises(NumericalFailure, match="past the float64 range"):
+            verify_pendant_identities(net, 2, 10, 1)
 
 
 class TestStepCap:

@@ -186,6 +186,13 @@ class TestEffectiveResistance:
         assert np.allclose(report.resistance[~np.eye(3, dtype=bool)], 2 / (3 * c), rtol=REL, atol=0.0)
         assert report.kirchhoff_index == pytest.approx(2 / c, rel=REL)
 
+    def test_index_and_matrix_come_from_the_same_halves(self, corpus):
+        # The matrix is the halves doubled and the index their sum, so half
+        # the matrix's sum is the index to the bit.
+        for net in corpus:
+            report = effective_resistance_matrix(net)
+            assert report.resistance.sum() / 2.0 == report.kirchhoff_index
+
 
 class TestHittingTimes:
     @pytest.mark.parametrize("n", [3, 4, 6, 9])
@@ -272,6 +279,13 @@ class TestHittingTimes:
             exact = np.array([float(x) for x in hitting_times_by_fractions(net, target)])
             assert np.allclose(h[:, target], exact, rtol=REL, atol=0.0)
 
+    def test_hitting_times_past_float64_range_are_refused(self):
+        # The exact H[2, 0] is about 2, but the grounded inverse overflows
+        # across conductances 1e300 and 1e-10, and inf - inf read nan.
+        net = build_network(3, [(0, 1, 1e300), (1, 2, 1e-10)])
+        with pytest.raises(NumericalFailure, match="hitting times are past the float64 range"):
+            hitting_time_matrix(net)
+
     @pytest.mark.parametrize("exponent", [-1016, 1010])
     def test_power_of_two_conductance_scale_changes_no_bit(self, exponent):
         # At 2**-1016 the smallest corpus conductance, 1/64, is the smallest
@@ -340,6 +354,13 @@ class TestReturnTimes:
             for z in range(net.vertex_count):
                 closed = return_time(net, z)
                 assert abs(closed - first_step[z]) <= REL * closed
+
+    def test_return_time_past_float64_range_is_refused(self):
+        # C / C_2 is 2e310, which read inf.
+        net = build_network(3, [(0, 1, 1e300), (1, 2, 1e-10)])
+        with pytest.raises(NumericalFailure, match="return time C / C_z is past the float64 range"):
+            return_time(net, 2)
+        assert return_time(net, 1) == 2.0
 
     def test_largest_conductances_inside_float64_range(self):
         # Total strength 6e307 is finite, so the network builds and every

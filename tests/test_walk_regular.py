@@ -201,17 +201,17 @@ class TestShortRoute:
         diagonal = np.diag(np.arange(100.0, 400.0))
         assert walk_regular._candidate(diagonal) is None
 
-    def test_small_graphs_whose_scan_is_cheap_skip_it(self, scans):
-        # On one prime, a pass costs its degree less one in products. cycle(3)
-        # has two distinct eigenvalues, and cycle(4) three: the candidate's
-        # one and two products do not undercut the plain scan's one and two,
-        # so the plain scan runs alone. cycle(6) has four: three products
-        # undercut the plain scan's four.
-        assert check_walk_regular(cycle(3)).is_walk_regular
+    def test_small_graphs_run_the_candidate_pass_first(self, scans):
+        # The candidate's pass runs even where it is no shorter than the
+        # plain scan: K_2's x^2 - 1 decides in one product, where x^1 would
+        # take none, and cycle(3)'s x^2 - x - 2 in one, as x^2 would.
+        # cycle(6) has four distinct eigenvalues: three products.
+        report = check_walk_regular(build_network(2, [(0, 1)]))
+        assert report.is_walk_regular and report.checked_k_max == 1
         assert scans == [(2, 1)]
         scans.clear()
-        assert check_walk_regular(cycle(4)).is_walk_regular
-        assert scans == [(3, 1)]
+        assert check_walk_regular(cycle(3)).is_walk_regular
+        assert scans == [(2, 1)]
         scans.clear()
         assert check_walk_regular(cycle(6)).is_walk_regular
         assert scans == [(4, 1)]
@@ -233,19 +233,43 @@ def random_regular_corpus(count: int = 240, seed: int = 4417):
 
 
 class TestAgainstPythonInts:
-    def test_random_regular_reports_match(self, scans):
-        # Most of these graphs have too many distinct eigenvalues for the
-        # candidate's pass to undercut the plain scan, so the plain scan keeps
-        # its oracle coverage here: it is the pass that follows the
-        # candidate's, or the only one.
+    def test_random_regular_reports_match(self, monkeypatch):
+        # Whenever there is a candidate, its pass runs first; the plain scan
+        # follows only a candidate's pass that does not decide.
+        candidate, scan = walk_regular._candidate, walk_regular._scan
+        candidates, polynomials = [], []
+
+        def recording_candidate(adjacency):
+            candidates.append(candidate(adjacency))
+            return candidates[-1]
+
+        def recording_scan(adjacency, degree, primes, coefficients):
+            polynomials.append(coefficients)
+            return scan(adjacency, degree, primes, coefficients)
+
+        monkeypatch.setattr(walk_regular, "_candidate", recording_candidate)
+        monkeypatch.setattr(walk_regular, "_scan", recording_scan)
         corpus = random_regular_corpus()
         assert len(corpus) >= 200
-        plain = 0
+        first = 0
         for net in corpus:
+            candidates.clear()
+            polynomials.clear()
+            assert check_walk_regular(net) == walk_regular_by_python_ints(net), net.edges
+            if candidates[0] is not None:
+                assert polynomials[0] == candidates[0]
+                first += 1
+            assert polynomials[1:] in ([], [[0] * (net.vertex_count - 1) + [1]])
+        assert first > len(corpus) // 2
+
+    def test_random_regular_reports_match_on_the_plain_scan_alone(self, scans, monkeypatch):
+        # Without a candidate the plain scan decides every graph alone, so it
+        # keeps its own oracle coverage.
+        monkeypatch.setattr(walk_regular, "_candidate", lambda adjacency: None)
+        for net in random_regular_corpus():
             scans.clear()
             assert check_walk_regular(net) == walk_regular_by_python_ints(net), net.edges
-            plain += scans[-1][0] == net.vertex_count - 1
-        assert plain > len(corpus) // 2
+            assert [degree for degree, _ in scans] == [net.vertex_count - 1]
 
     def test_reports_match_when_single_primes_collide(self, monkeypatch):
         # Counts often agree modulo one small prime while differing exactly, so
