@@ -148,7 +148,8 @@ def analyze_edge_removal(net: Network, a: int, b: int) -> PerturbationReport:
     lap[a, a] -= 1.0
     lap[b, b] -= 1.0
     total_after = net.total_strength - 2.0
-    green, potential, scale = _ground(lap, total_after)
+    green, potential, exponent = _ground(lap)
+    scale = math.ldexp(total_after, exponent)
     # The operations and their order are those of hitting_time_matrix.
     hitting_ab = (green[b, b] - green[a, b]) * scale + potential[a] - potential[b]
     hitting_ba = (green[a, a] - green[b, a]) * scale + potential[b] - potential[a]

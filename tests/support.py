@@ -18,6 +18,9 @@ oracle multiplies unbounded Python integers (the library compares residues
 modulo primes in float64), and the Monte Carlo oracles own their sampler,
 ``WalkSampler``, and walk each estimator with its own hand-written loop and
 no step cap (the library runs one walk kernel, ``montecarlo._sample``).
+The exhaustive oracles enumerate labelled graphs on up to five vertices
+here, and every connected graph on up to seven vertices, one per
+isomorphism class, from networkx's graph atlas.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, combinations
 
+import networkx as nx
 import numpy as np
 
 from ohmwalk import (
@@ -85,6 +90,16 @@ def connected_graphs_on(n: int):
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         if len(edges) >= n - 1 and union_find_connected(n, edges):
             yield edges
+
+
+@cache
+def connected_atlas_graphs() -> tuple[nx.Graph, ...]:
+    """Every connected graph on 2 to 7 vertices, one per isomorphism class.
+
+    The 995 graphs of Read & Wilson, *An Atlas of Graphs* (1998), as
+    networkx ships them, on the vertices ``0 .. n-1``.
+    """
+    return tuple(g for g in nx.graph_atlas_g() if g.number_of_nodes() >= 2 and nx.is_connected(g))
 
 
 def dyadic_conductance(rng: np.random.Generator) -> float:

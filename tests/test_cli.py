@@ -364,6 +364,24 @@ class TestErrorChannel:
         assert err.startswith("error:") and "past the float64 range" in err
         assert "nan" not in err
 
+    @pytest.mark.parametrize("c", ["1e-06", "3e-07", "1e-07", "1e-08"])
+    @pytest.mark.parametrize("query", [
+        ["hitting", "--from", "0", "--to", "5"],
+        ["mc-verify", "--what", "hitting", "--from", "0", "--to", "5", "--samples", "10", "--seed", "1"],
+    ], ids=["hitting", "mc-hitting"])
+    def test_weak_bridge_hitting_is_refused(self, query, c, capsys, monkeypatch):
+        # Two triangles joined by conductance c: the hitting times printed
+        # were up to 6e-8 off, and each walker of mc-verify needs about
+        # 1/c steps to cross the bridge.
+        def no_walk(*args):
+            raise AssertionError("walked before the exact value was refused")
+
+        monkeypatch.setattr("ohmwalk.montecarlo._sample", no_walk)
+        feed_stdin(monkeypatch, f"0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n2 3 {c}\n")
+        code, out, err = run(capsys, *query)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Foster defect" in err
+
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2

@@ -281,7 +281,9 @@ class TestCutEdges:
         for net in nets:
             assert net._bridges == bridges_by_union_find(net), net.edges
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    # Past 5 vertices, tests/test_perturbation.py checks every isomorphism
+    # class on up to 7 vertices against the same oracle.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_remove_and_check_oracle_exhaustively(self, n):
         for edges in connected_graphs_on(n):
             net = build_network(n, edges)

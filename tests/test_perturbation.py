@@ -3,6 +3,7 @@ import math
 from collections import Counter
 from dataclasses import asdict
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -32,8 +33,10 @@ from ohmwalk import perturbation, solver, walk_regular
 from support import (
     CUBIC_UNEVEN_TRIANGLES,
     WEIGHTED_TRIANGLE,
+    connected_atlas_graphs,
     connected_graphs_on,
     hitting_times_by_fractions,
+    union_find_connected,
 )
 
 REL = 1e-9
@@ -254,23 +257,6 @@ def removals():
     return records
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_prediction_and_monotonicity_exhaustive(n):
-    # Single pass over every connected unit graph on n vertices: the
-    # parallel-decomposition prediction must match a fresh recomputation on
-    # the reduced graph, and no pairwise resistance may drop.
-    for edges in connected_graphs_on(n):
-        net = build_network(n, edges)
-        before = effective_resistance_matrix(net).resistance
-        for a, b in edges:
-            if net.is_cut_edge(a, b):
-                continue
-            after = effective_resistance_matrix(net.remove_edge(a, b)).resistance
-            predicted = predicted_removed_resistance(before[a, b])
-            assert abs(predicted - after[a, b]) <= REL * max(predicted, after[a, b])
-            assert np.all(after >= before - 1e-12)
-
-
 def assert_direct_side_is_the_reduced_networks(removals, monkeypatch):
     """The report's direct values on each ``(net, a, b)`` against the
     reduced network's own all-pairs report: hitting time and resistance bit
@@ -279,9 +265,9 @@ def assert_direct_side_is_the_reduced_networks(removals, monkeypatch):
     solved = []
     ground = solver._ground
 
-    def recording(lap, total):
+    def recording(lap):
         solved.append(lap.copy())
-        return ground(lap, total)
+        return ground(lap)
 
     monkeypatch.setattr(perturbation, "_ground", recording)
     for net, a, b in removals:
@@ -399,28 +385,95 @@ def test_direct_side_is_the_reduced_networks_on_walk_regular_corpus(net, monkeyp
     assert_direct_side_is_the_reduced_networks(triples, monkeypatch)
 
 
-def test_closed_forms_over_the_graph_atlas():
-    # Every non-bridge edge of every connected graph on 3..7 vertices, one
-    # per isomorphism class (Read & Wilson, An Atlas of Graphs). networkx
-    # names the bridges, independently of the library's cut-edge search.
-    nx = pytest.importorskip("networkx")
-    removals = walk_regular_removals = 0
-    for graph in nx.graph_atlas_g():
+@pytest.fixture(scope="module")
+def atlas():
+    """``(class, relabelled, net, bridges)`` for every connected graph on 2..7
+    vertices, one per isomorphism class (Read & Wilson, An Atlas of Graphs).
+
+    Each class on 6 or 7 vertices comes once more under a seeded
+    relabelling, so that the ground vertex and the breadth-first root vary;
+    the labelled enumerations up to 5 vertices cover every labelling.
+    networkx names the bridges, independently of the library's cut-edges.
+    """
+    rng = np.random.default_rng(2026)
+    labellings = []
+    for index, graph in enumerate(connected_atlas_graphs()):
         n = graph.number_of_nodes()
-        if not 3 <= n <= 7 or not nx.is_connected(graph):
-            continue
-        net = build_network(n, list(graph.edges))
-        bridges = {(min(e), max(e)) for e in nx.bridges(graph)}
+        for relabelled in (False, True)[: 1 + (n >= 6)]:
+            label = rng.permutation(n) if relabelled else np.arange(n)
+
+            def relabel(edge):
+                return tuple(sorted(int(label[v]) for v in edge))
+
+            net = build_network(n, sorted(map(relabel, graph.edges)))
+            labellings.append((index, relabelled, net, set(map(relabel, nx.bridges(graph)))))
+    return labellings
+
+
+@pytest.fixture(scope="module")
+def atlas_removals(atlas):
+    """``(class, relabelled, net, edge, report, before, after)`` for every
+    non-bridge edge of every atlas labelling, with the resistance matrices
+    of the network and of its edge-deleted network by the pseudoinverse."""
+    records = []
+    for index, relabelled, net, bridges in atlas:
+        before = effective_resistance_matrix(net).resistance
         for a, b, _ in net.edges:
-            if (a, b) in bridges:
+            if (a, b) not in bridges:
+                after = effective_resistance_matrix(net.remove_edge(a, b)).resistance
+                report = analyze_edge_removal(net, a, b)
+                records.append((index, relabelled, net, (a, b), report, before, after))
+    return records
+
+
+def test_cut_edges_over_the_graph_atlas(atlas):
+    # The library's cut-edges against networkx's bridges and union-find.
+    for _, _, net, bridges in atlas:
+        pairs = [(a, b) for a, b, _ in net.edges]
+        for a, b in pairs:
+            cut = (a, b) in bridges
+            assert net.is_cut_edge(a, b) is cut
+            assert union_find_connected(net.vertex_count, [e for e in pairs if e != (a, b)]) is not cut
+            if cut:
                 with pytest.raises(WouldDisconnect):
                     analyze_edge_removal(net, a, b)
-                continue
-            report = analyze_edge_removal(net, a, b)
-            assert abs(report.r_after_predicted - report.r_after_direct) <= REL * report.r_after_direct
-            removals += 1
-            if report.walk_regular:
-                predicted, direct = report.hitting_after_predicted, report.hitting_after_direct
-                assert abs(predicted - direct) <= REL * direct
-                walk_regular_removals += 1
-    assert (removals, walk_regular_removals) == (9909, 121)
+    assert sum(not relabelled for _, relabelled, _, _ in atlas) == 995
+
+
+def test_closed_forms_over_the_graph_atlas(atlas_removals):
+    # Each prediction against the report's direct value and against the
+    # edge-deleted network's own pseudoinverse; no resistance may drop.
+    for _, _, _, (a, b), report, before, after in atlas_removals:
+        predicted = report.r_after_predicted
+        assert abs(predicted - report.r_after_direct) <= REL * report.r_after_direct
+        assert abs(predicted - after[a, b]) <= REL * max(predicted, after[a, b])
+        assert np.all(after >= before - 1e-12)
+        if report.walk_regular:
+            predicted, direct = report.hitting_after_predicted, report.hitting_after_direct
+            assert abs(predicted - direct) <= REL * direct
+    once = [report for _, relabelled, _, _, report, _, _ in atlas_removals if not relabelled]
+    assert (len(once), sum(report.walk_regular for report in once)) == (9909, 121)
+
+
+def test_increment_extremes_over_the_graph_atlas(atlas_removals):
+    # The maximum (n-1)^2/n is attained by the n-cycle alone. The minimum
+    # 4/(n(n-2)) is attained exactly at the edges whose ends are both
+    # adjacent to every other vertex, so by more classes than the complete
+    # graph from n = 4 on.
+    maxima, minima = set(), set()
+    for index, _, net, (a, b), _, before, after in atlas_removals:
+        n = net.vertex_count
+        if n < 4:
+            continue
+        high, low = extremal_increment_bounds(n)
+        increment = after[a, b] - before[a, b]
+        assert low * (1 - REL) <= increment <= high * (1 + REL)
+        if abs(increment - high) <= REL * high:
+            assert net.edge_count == n and all(net.degree(v) == 2 for v in range(n))
+            maxima.add((n, index))
+        dominating = all(net.has_edge(a, v) and net.has_edge(b, v) for v in range(n) if v not in (a, b))
+        assert bool(abs(increment - low) <= REL * low) == dominating
+        if dominating:
+            minima.add((n, index))
+    assert Counter(n for n, _ in maxima) == {4: 1, 5: 1, 6: 1, 7: 1}
+    assert Counter(n for n, _ in minima) == {4: 2, 5: 4, 6: 11, 7: 34}

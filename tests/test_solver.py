@@ -2,6 +2,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -51,10 +52,8 @@ def path3():
 WEAK_BRIDGE = 1e-10
 
 
-def weak_bridge():
-    return build_network(
-        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3, WEAK_BRIDGE)]
-    )
+def weak_bridge(c=WEAK_BRIDGE):
+    return build_network(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3, c)])
 
 
 def test_laplacian_matches_edge_loop(corpus):
@@ -125,7 +124,6 @@ class TestEffectiveResistance:
             assert np.all(r[:, None, :] <= sums + ABS_ZERO)
 
     def test_matches_networkx(self):
-        nx = pytest.importorskip("networkx")
         for net in (cycle(7), hypercube(3), petersen(), build_network(3, WEIGHTED_TRIANGLE)):
             g = nx.Graph()
             g.add_nodes_from(range(net.vertex_count))
@@ -311,14 +309,20 @@ class TestHittingTimes:
             n = net.vertex_count
             assert calls == [(n, n)]
 
-    def test_weak_bridge_is_finite(self):
-        net = weak_bridge()
-        report = hitting_time_matrix(net)
-        assert np.all(np.isfinite(report.hitting))
-        assert np.all(np.isfinite(return_times_by_first_step(net)))
-        # Commute across the bridge is C * R = C / c.
-        expected = net.total_strength / WEAK_BRIDGE
-        assert report.commute[2, 3] == pytest.approx(expected, rel=1e-7)
+    def test_weak_bridge_within_reach_matches_fraction_oracle(self):
+        net = weak_bridge(1e-5)
+        h = hitting_time_matrix(net).hitting
+        for target in range(net.vertex_count):
+            exact = np.array([float(x) for x in hitting_times_by_fractions(net, target)])
+            assert np.allclose(h[:, target], exact, rtol=REL, atol=0.0)
+
+    # Unrefused, the worst errors against the rational oracle were 9.3e-10
+    # at 1e-6, 3.7e-9 at 3e-7, 1.1e-8 at 1e-7, 6.0e-8 at 1e-8 and 2.5e-6
+    # at 1e-10; the threshold keeps a margin below REL.
+    @pytest.mark.parametrize("c", [1e-6, 3e-7, 1e-7, 1e-8, WEAK_BRIDGE])
+    def test_weak_bridge_is_refused(self, c):
+        with pytest.raises(NumericalFailure, match=r"Foster defect .* is past 1e-10"):
+            hitting_time_matrix(weak_bridge(c))
 
     def test_walk_regular_families_are_symmetric(self):
         for net in (cycle(8), complete(6), hypercube(3), petersen()):

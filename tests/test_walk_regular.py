@@ -24,6 +24,7 @@ from support import (
     CUBIC_UNEVEN_TRIANGLES,
     STAR_K13,
     WEIGHTED_TRIANGLE,
+    connected_atlas_graphs,
     hitting_symmetry_defect,
     walk_regular_by_python_ints,
 )
@@ -307,6 +308,16 @@ class TestAgainstPythonInts:
                 assert check_walk_regular(net) == walk_regular_by_python_ints(net), (n, a, b)
                 first.append(len(scans) == 1 and scans[0][0] < n - 1)
         assert len(first) == 248 and all(first)
+
+    def test_every_atlas_graph_matches(self):
+        # Every connected graph on 2..7 vertices, one per isomorphism class.
+        walk_regular_count = 0
+        for graph in connected_atlas_graphs():
+            net = build_network(graph.number_of_nodes(), list(graph.edges))
+            report = check_walk_regular(net)
+            assert report == walk_regular_by_python_ints(net), net.edges
+            walk_regular_count += report.is_walk_regular
+        assert walk_regular_count == 14
 
     @pytest.mark.parametrize(
         "net",
