@@ -399,7 +399,7 @@ def atlas():
     labellings = []
     for index, graph in enumerate(connected_atlas_graphs()):
         n = graph.number_of_nodes()
-        for relabelled in (False, True)[: 1 + (n >= 6)]:
+        for relabelled in (False, True) if n >= 6 else (False,):
             label = rng.permutation(n) if relabelled else np.arange(n)
 
             def relabel(edge):
